@@ -7,8 +7,8 @@
 //! 1. **Hardware-driven coefficient approximation** ([`coeff_approx`],
 //!    algorithmic level) — every coefficient `w` may move to a
 //!    neighbouring value `w̃ ∈ [w−e, w+e]` whose bespoke multiplier is
-//!    cheaper (powers of two cost *nothing*); an exhaustive search picks
-//!    the combination that balances positive and negative errors of each
+//!    cheaper (powers of two cost *nothing*); an exact (pruned) search
+//!    picks the combination that balances positive and negative errors of each
 //!    weighted sum, using the cached per-coefficient multiplier areas
 //!    ([`mult_cache`]) as the area proxy the paper validates (r = 0.91).
 //! 2. **Netlist pruning** ([`prune`], logic level) — gates whose output

@@ -8,7 +8,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use super::sgd::{init_matrix, MiniBatches};
+use super::sgd::{affine, init_matrix, transpose, untranspose, MiniBatches};
 use crate::model::{Mlp, MlpTask};
 use crate::Dataset;
 
@@ -61,18 +61,32 @@ fn train(data: &Dataset, params: &MlpParams, seed: u64, task: MlpTask) -> Mlp {
     let mut rng = StdRng::seed_from_u64(seed);
     let lim1 = (6.0 / (n_in + params.hidden) as f64).sqrt();
     let lim2 = (6.0 / (params.hidden + n_out) as f64).sqrt();
-    let mut w1 = init_matrix(params.hidden, n_in, lim1, &mut rng);
+    let hidden = params.hidden;
+    // Both layers' weights, velocities and gradients are flat and
+    // input-major (`w1[i * hidden + hh]`, `w2[hh * n_out + o]`), so each
+    // layer's outputs come from one blocked pass over its inputs.
+    let mut w1 = transpose(&init_matrix(hidden, n_in, lim1, &mut rng), n_in);
     // Inputs are non-negative ([0, 1]-normalized), so a slightly positive
     // bias keeps every ReLU unit alive at the start of training; with a
     // zero init and few hidden units, whole layers can start dead.
-    let mut b1 = vec![0.1; params.hidden];
-    let mut w2 = init_matrix(n_out, params.hidden, lim2, &mut rng);
+    let mut b1 = vec![0.1; hidden];
+    let mut w2 = transpose(&init_matrix(n_out, hidden, lim2, &mut rng), hidden);
     let mut b2 = vec![0.0; n_out];
 
-    let mut vw1 = vec![vec![0.0; n_in]; params.hidden];
-    let mut vb1 = vec![0.0; params.hidden];
-    let mut vw2 = vec![vec![0.0; params.hidden]; n_out];
+    let mut vw1 = vec![0.0; n_in * hidden];
+    let mut vb1 = vec![0.0; hidden];
+    let mut vw2 = vec![0.0; hidden * n_out];
     let mut vb2 = vec![0.0; n_out];
+
+    let mut gw1 = vec![0.0; n_in * hidden];
+    let mut gb1 = vec![0.0; hidden];
+    let mut gw2 = vec![0.0; hidden * n_out];
+    let mut gb2 = vec![0.0; n_out];
+    let mut z1 = vec![0.0; hidden];
+    let mut h = vec![0.0; hidden];
+    let mut out = vec![0.0; n_out];
+    let mut exps = vec![0.0; n_out];
+    let mut delta_out = vec![0.0; n_out];
 
     for epoch in 0..params.epochs {
         // 1/t learning-rate decay keeps late epochs from oscillating.
@@ -80,79 +94,80 @@ fn train(data: &Dataset, params: &MlpParams, seed: u64, task: MlpTask) -> Mlp {
         let batches = MiniBatches::new(data.len(), params.batch, &mut rng);
         for batch in batches.iter() {
             let scale = 1.0 / batch.len() as f64;
-            let mut gw1 = vec![vec![0.0; n_in]; params.hidden];
-            let mut gb1 = vec![0.0; params.hidden];
-            let mut gw2 = vec![vec![0.0; params.hidden]; n_out];
-            let mut gb2 = vec![0.0; n_out];
+            gw1.fill(0.0);
+            gb1.fill(0.0);
+            gw2.fill(0.0);
+            gb2.fill(0.0);
 
             for &row in batch {
                 let x = &data.features[row];
                 // Forward.
-                let z1: Vec<f64> = (0..params.hidden)
-                    .map(|h| w1[h].iter().zip(x).map(|(w, v)| w * v).sum::<f64>() + b1[h])
-                    .collect();
-                let h: Vec<f64> = z1.iter().map(|&z| z.max(0.0)).collect();
-                let out: Vec<f64> = (0..n_out)
-                    .map(|o| w2[o].iter().zip(&h).map(|(w, v)| w * v).sum::<f64>() + b2[o])
-                    .collect();
+                affine(&w1, &b1, x, &mut z1);
+                for (hv, &z) in h.iter_mut().zip(&z1) {
+                    *hv = z.max(0.0);
+                }
+                affine(&w2, &b2, &h, &mut out);
 
                 // Output-layer error signal.
-                let delta_out: Vec<f64> = match task {
+                match task {
                     MlpTask::Classification => {
                         // Softmax cross-entropy: δ = p − onehot(y).
                         let max = out.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-                        let exps: Vec<f64> = out.iter().map(|v| (v - max).exp()).collect();
+                        for (e, v) in exps.iter_mut().zip(&out) {
+                            *e = (v - max).exp();
+                        }
                         let sum: f64 = exps.iter().sum();
                         let y = data.labels[row] as usize;
-                        exps.iter()
-                            .enumerate()
-                            .map(|(o, &e)| e / sum - f64::from(u8::from(o == y)))
-                            .collect()
+                        for (o, (d, &e)) in delta_out.iter_mut().zip(&exps).enumerate() {
+                            *d = e / sum - f64::from(u8::from(o == y));
+                        }
                     }
-                    MlpTask::Regression => vec![out[0] - data.labels[row]],
-                };
+                    MlpTask::Regression => delta_out[0] = out[0] - data.labels[row],
+                }
 
                 // Backprop into hidden layer.
-                for o in 0..n_out {
-                    for hh in 0..params.hidden {
-                        gw2[o][hh] += delta_out[o] * h[hh];
+                for (g, &hv) in gw2.chunks_exact_mut(n_out).zip(&h) {
+                    for (gv, &d) in g.iter_mut().zip(&delta_out) {
+                        *gv += d * hv;
                     }
-                    gb2[o] += delta_out[o];
                 }
-                for hh in 0..params.hidden {
+                for (gb, &d) in gb2.iter_mut().zip(&delta_out) {
+                    *gb += d;
+                }
+                for (hh, w2_h) in w2.chunks_exact(n_out).enumerate() {
                     if z1[hh] <= 0.0 {
                         continue; // ReLU gate closed
                     }
-                    let delta_h: f64 = (0..n_out).map(|o| delta_out[o] * w2[o][hh]).sum();
-                    for i in 0..n_in {
-                        gw1[hh][i] += delta_h * x[i];
+                    let delta_h: f64 = delta_out.iter().zip(w2_h).map(|(d, w)| d * w).sum();
+                    for (g, &xv) in gw1.chunks_exact_mut(hidden).zip(x) {
+                        g[hh] += delta_h * xv;
                     }
                     gb1[hh] += delta_h;
                 }
             }
 
             // Momentum + L2 update.
-            for hh in 0..params.hidden {
-                for i in 0..n_in {
-                    vw1[hh][i] = params.momentum * vw1[hh][i]
-                        - lr * (gw1[hh][i] * scale + params.l2 * w1[hh][i]);
-                    w1[hh][i] += vw1[hh][i];
-                }
-                vb1[hh] = params.momentum * vb1[hh] - lr * gb1[hh] * scale;
-                b1[hh] += vb1[hh];
+            momentum_step(&mut w1, &mut vw1, &gw1, params, lr, scale);
+            momentum_step(&mut w2, &mut vw2, &gw2, params, lr, scale);
+            for ((b, v), &g) in b1.iter_mut().zip(&mut vb1).zip(&gb1) {
+                *v = params.momentum * *v - lr * g * scale;
+                *b += *v;
             }
-            for o in 0..n_out {
-                for hh in 0..params.hidden {
-                    vw2[o][hh] = params.momentum * vw2[o][hh]
-                        - lr * (gw2[o][hh] * scale + params.l2 * w2[o][hh]);
-                    w2[o][hh] += vw2[o][hh];
-                }
-                vb2[o] = params.momentum * vb2[o] - lr * gb2[o] * scale;
-                b2[o] += vb2[o];
+            for ((b, v), &g) in b2.iter_mut().zip(&mut vb2).zip(&gb2) {
+                *v = params.momentum * *v - lr * g * scale;
+                *b += *v;
             }
         }
     }
-    Mlp::new(w1, b1, w2, b2, task)
+    Mlp::new(untranspose(&w1, hidden), b1, untranspose(&w2, n_out), b2, task)
+}
+
+/// Momentum SGD with L2 weight decay, elementwise over one layer.
+fn momentum_step(w: &mut [f64], v: &mut [f64], g: &[f64], params: &MlpParams, lr: f64, scale: f64) {
+    for ((wv, vv), &gv) in w.iter_mut().zip(v.iter_mut()).zip(g) {
+        *vv = params.momentum * *vv - lr * (gv * scale + params.l2 * *wv);
+        *wv += *vv;
+    }
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use super::sgd::{init_matrix, MiniBatches};
+use super::sgd::{affine, init_matrix, transpose, untranspose, MiniBatches};
 use crate::model::LinearClassifier;
 use crate::Dataset;
 
@@ -92,19 +92,23 @@ fn train_from_init(data: &Dataset, params: &SvmParams, seed: u64, warm: bool) ->
         }
     }
 
+    // Feature-major weights and gradients (`[i * k + c]`), so one row's
+    // k class scores come from a single blocked pass over its features.
+    let mut w = transpose(&w, n);
+    let mut gw = vec![0.0; n * k];
+    let mut gb = vec![0.0; k];
+    let mut scores = vec![0.0; k];
     for epoch in 0..params.epochs {
         let lr = params.lr / (1.0 + 0.02 * epoch as f64);
         let batches = MiniBatches::new(data.len(), params.batch, &mut rng);
         for batch in batches.iter() {
             let scale = lr / batch.len() as f64;
-            let mut gw = vec![vec![0.0; n]; k];
-            let mut gb = vec![0.0; k];
+            gw.fill(0.0);
+            gb.fill(0.0);
             for &row in batch {
                 let x = &data.features[row];
                 let y = data.labels[row] as usize;
-                let scores: Vec<f64> = (0..k)
-                    .map(|c| w[c].iter().zip(x).map(|(wv, xv)| wv * xv).sum::<f64>() + b[c])
-                    .collect();
+                affine(&w, &b, x, &mut scores);
                 match params.loss {
                     MulticlassLoss::CrammerSinger => {
                         // Most violating competitor.
@@ -121,9 +125,9 @@ fn train_from_init(data: &Dataset, params: &SvmParams, seed: u64, warm: bool) ->
                             }
                         }
                         if worst_margin > 0.0 {
-                            for i in 0..n {
-                                gw[y][i] -= x[i];
-                                gw[worst][i] += x[i];
+                            for (g, &xv) in gw.chunks_exact_mut(k).zip(x) {
+                                g[y] -= xv;
+                                g[worst] += xv;
                             }
                             gb[y] -= 1.0;
                             gb[worst] += 1.0;
@@ -133,8 +137,8 @@ fn train_from_init(data: &Dataset, params: &SvmParams, seed: u64, warm: bool) ->
                         for c in 0..k {
                             let target = if c == y { 1.0 } else { -1.0 };
                             if target * scores[c] < 1.0 {
-                                for i in 0..n {
-                                    gw[c][i] -= target * x[i];
+                                for (g, &xv) in gw.chunks_exact_mut(k).zip(x) {
+                                    g[c] -= target * xv;
                                 }
                                 gb[c] -= target;
                             }
@@ -142,15 +146,15 @@ fn train_from_init(data: &Dataset, params: &SvmParams, seed: u64, warm: bool) ->
                     }
                 }
             }
-            for c in 0..k {
-                for i in 0..n {
-                    w[c][i] -= scale * gw[c][i] + lr * params.l2 * w[c][i];
-                }
-                b[c] -= scale * gb[c];
+            for (wv, &g) in w.iter_mut().zip(&gw) {
+                *wv -= scale * g + lr * params.l2 * *wv;
+            }
+            for (b_c, &g) in b.iter_mut().zip(&gb) {
+                *b_c -= scale * g;
             }
         }
     }
-    LinearClassifier::new(w, b)
+    LinearClassifier::new(untranspose(&w, k), b)
 }
 
 #[cfg(test)]
