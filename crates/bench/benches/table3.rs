@@ -5,7 +5,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use pax_bench::catalog::{train_entry, DatasetId};
 use pax_bench::{studies, table3};
-use pax_core::prune::{analyze, enumerate_grid, evaluate_grid, PruneConfig};
+use pax_core::explore::{CoeffGene, Engine, EvalContext, Evaluator, ExhaustiveGrid};
+use pax_core::prune::{analyze, PruneConfig};
 use pax_ml::quant::ModelKind;
 use pax_ml::synth_data::SynthConfig;
 use pax_synth::opt;
@@ -22,18 +23,23 @@ fn bench(c: &mut Criterion) {
     let lib = egt_pdk::egt_library();
     let tech = egt_pdk::TechParams::egt();
     let analysis = analyze(&netlist, &entry.model, &entry.train);
+    // The path studies take: the exhaustive grid on a cold engine over
+    // a fresh evaluator.
     c.bench_function("table3/prune_full_search_redwine_svm_r", |b| {
         b.iter(|| {
-            let grid = enumerate_grid(&analysis, &PruneConfig::default());
-            std::hint::black_box(evaluate_grid(
-                &netlist,
-                &entry.model,
-                &entry.test,
+            let evaluator = Evaluator::new(
                 &lib,
                 &tech,
-                &analysis,
-                &grid,
-            ))
+                &entry.test,
+                vec![EvalContext {
+                    coeff: CoeffGene::exact(),
+                    netlist: &netlist,
+                    model: &entry.model,
+                    analysis: analysis.clone(),
+                }],
+            );
+            let mut engine = Engine::new(&evaluator, &PruneConfig::default());
+            std::hint::black_box(engine.run(&mut ExhaustiveGrid::new()).expect("grid"))
         })
     });
 }

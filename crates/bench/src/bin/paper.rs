@@ -9,10 +9,10 @@
 //! paper fig3                   # Fig. 3   (Pareto spaces)
 //! paper proxy                  # §III-B   (area-proxy correlation)
 //! paper explore                # grid vs NSGA-II search (BENCH_explore.json)
-//! paper prune_eval             # rebuild vs overlay evaluation (BENCH_prune_eval.json)
-//! paper delta_eval             # delta sessions vs fresh-fold overlay (BENCH_delta_eval.json)
-//! paper coeff_eval             # stacked coeff+prune overlay vs rebuild (BENCH_coeff_eval.json)
-//! paper fabric_eval            # in-process vs serve-fabric evaluation (BENCH_fabric_eval.json)
+//! paper prune_eval             # A/B: rebuild vs overlay evaluation (BENCH_prune_eval.json)
+//! paper coeff_eval             # A/B: stacked coeff+prune, rebuild vs overlay (BENCH_coeff_eval.json)
+//! paper delta_eval             # A/B: fresh folds vs delta sessions (BENCH_delta_eval.json)
+//! paper fabric_eval            # A/B: in-process vs serve-fabric evaluation (BENCH_fabric_eval.json)
 //! paper obs                    # journalled NSGA-II study + journal verification
 //! paper all                    # everything
 //!
@@ -27,6 +27,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use pax_bench::catalog::DatasetId;
+use pax_bench::eval_ab::{self, Study};
 use pax_bench::{explore, fig1, fig2, fig3, proxy, quantsweep, studies, table1, table2, table3};
 use pax_core::mult_cache::MultCache;
 use pax_ml::quant::ModelKind;
@@ -73,10 +74,6 @@ fn main() {
         "proxy" => run_proxy(&opts),
         "quant" => run_quant(&opts),
         "explore" => run_explore(&opts),
-        "prune_eval" => run_prune_eval(&opts),
-        "delta_eval" => run_delta_eval(&opts),
-        "coeff_eval" => run_coeff_eval(&opts),
-        "fabric_eval" => run_fabric_eval(&opts),
         "obs" => run_obs(&opts),
         "all" => {
             run_fig1(&opts);
@@ -84,10 +81,9 @@ fn main() {
             run_proxy(&opts);
             run_quant(&opts);
             run_explore(&opts);
-            run_prune_eval(&opts);
-            run_delta_eval(&opts);
-            run_coeff_eval(&opts);
-            run_fabric_eval(&opts);
+            for study in Study::ALL {
+                run_eval_ab(&opts, study);
+            }
             run_table1(&opts);
             // table2/table3/fig3 share one set of studies.
             let runs = load_studies(&opts);
@@ -95,10 +91,13 @@ fn main() {
             emit_table3(&runs, &opts);
             emit_fig3(&runs, &opts);
         }
-        other => {
-            eprintln!("unknown command `{other}`");
-            std::process::exit(2);
-        }
+        other => match Study::from_name(other) {
+            Some(study) => run_eval_ab(&opts, study),
+            None => {
+                eprintln!("unknown command `{other}`");
+                std::process::exit(2);
+            }
+        },
     }
     eprintln!("[paper] done in {:.1} s", t0.elapsed().as_secs_f64());
 }
@@ -215,42 +214,14 @@ fn run_explore(opts: &Options) {
     write_artifact(opts, "explore.json", &json);
 }
 
-fn run_prune_eval(opts: &Options) {
+fn run_eval_ab(opts: &Options, study: Study) {
     let cfg = synth_config(opts);
     let seed = pax_core::explore::resolve_seed(0x9A5E);
-    let rows = pax_bench::prune_eval::run(&cfg, seed);
-    println!("# Candidate evaluation — rebuild pipeline vs overlay on the shared tape\n");
-    println!("{}", pax_bench::prune_eval::render(&rows));
-    let json = pax_bench::prune_eval::to_json(&rows, &cfg, seed);
-    write_artifact(opts, "prune_eval.json", &json);
-}
-
-fn run_delta_eval(opts: &Options) {
-    let cfg = synth_config(opts);
-    let rows = pax_bench::delta_eval::run(&cfg);
-    println!("# Candidate evaluation — delta sessions vs fresh-fold overlay at steady state\n");
-    println!("{}", pax_bench::delta_eval::render(&rows));
-    let json = pax_bench::delta_eval::to_json(&rows, &cfg);
-    write_artifact(opts, "delta_eval.json", &json);
-}
-
-fn run_coeff_eval(opts: &Options) {
-    let cfg = synth_config(opts);
-    let rows = pax_bench::coeff_eval::run(&cfg);
-    println!("# Stacked coeff+prune evaluation — rebuild pipeline vs overlay per gene\n");
-    println!("{}", pax_bench::coeff_eval::render(&rows));
-    let json = pax_bench::coeff_eval::to_json(&rows, &cfg);
-    write_artifact(opts, "coeff_eval.json", &json);
-}
-
-fn run_fabric_eval(opts: &Options) {
-    let cfg = synth_config(opts);
-    let seed = pax_core::explore::resolve_seed(0xFAB);
-    let rows = pax_bench::fabric_eval::run(&cfg, seed);
-    println!("# Candidate evaluation — in-process overlay vs the serve-engine fabric\n");
-    println!("{}", pax_bench::fabric_eval::render(&rows));
-    let json = pax_bench::fabric_eval::to_json(&rows, &cfg, seed);
-    write_artifact(opts, "fabric_eval.json", &json);
+    let rows = eval_ab::run(study, &cfg, seed);
+    println!("# {}\n", study.heading());
+    println!("{}", eval_ab::render(study, &rows));
+    let json = eval_ab::to_json(study, &rows, &cfg, seed);
+    write_artifact(opts, &format!("{}.json", study.name()), &json);
 }
 
 fn run_obs(opts: &Options) {

@@ -18,22 +18,19 @@
 //!   matched evaluation budgets (the `BENCH_explore.json` study);
 //! * [`obs`] — a journalled NSGA-II study plus read-back verification
 //!   of the `pax_obs` search journal and evaluation-phase spans;
-//! * [`prune_eval`] — rebuild-pipeline versus overlay candidate
-//!   evaluation throughput (the `BENCH_prune_eval.json` study);
-//! * [`delta_eval`] — delta-overlay sessions versus the fresh-fold
-//!   overlay baseline at steady state (the `BENCH_delta_eval.json`
-//!   study);
-//! * [`coeff_eval`] — stacked coefficient+pruning overlay versus the
-//!   rebuild oracle on the joint graded-gene grid (the
-//!   `BENCH_coeff_eval.json` study);
-//! * [`fabric_eval`] — in-process overlay versus evaluation routed
-//!   through a serve-engine tenant on the shared worker pool (the
-//!   `BENCH_fabric_eval.json` study).
+//! * [`eval_ab`] — the four A/B candidate-evaluation studies in one
+//!   harness (`BENCH_{prune,coeff,delta,fabric}_eval.json`): rebuild
+//!   pipeline versus overlay, the same on the joint coefficient ×
+//!   pruning grid, fresh folds versus delta sessions, and in-process
+//!   versus serve-fabric evaluation — each with one row schema,
+//!   best-of-3 timing, a bit-identity check per row and its acceptance
+//!   bar.
 //!
 //! The `paper` binary exposes all of it:
 //!
 //! ```text
 //! cargo run -p pax-bench --release --bin paper -- table1
+//! cargo run -p pax-bench --release --bin paper -- delta_eval --quick
 //! cargo run -p pax-bench --release --bin paper -- all --out results/
 //! ```
 
@@ -41,16 +38,13 @@
 #![warn(missing_docs)]
 
 pub mod catalog;
-pub mod coeff_eval;
-pub mod delta_eval;
+pub mod eval_ab;
 pub mod explore;
-pub mod fabric_eval;
 pub mod fig1;
 pub mod fig2;
 pub mod fig3;
 pub mod obs;
 pub mod proxy;
-pub mod prune_eval;
 pub mod quantsweep;
 pub mod studies;
 pub mod table1;

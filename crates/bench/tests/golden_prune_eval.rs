@@ -35,7 +35,9 @@ fn cardio_svm_r_design_point_is_pinned() {
     let set: Vec<NetId> = grid.sets.iter().max_by_key(|s| s.len()).expect("non-empty grid").clone();
     assert!(!set.is_empty(), "the design point must prune something");
 
-    let ctx = OverlayContext::new(&base, &entry.model, &entry.test, &lib, &tech).unwrap();
+    let ctx =
+        OverlayContext::new(base.clone(), entry.model.clone(), entry.test.clone(), &lib, &tech)
+            .unwrap();
     let overlay = ctx.evaluate(&analysis, &set).unwrap();
     let rebuild =
         try_evaluate_set_rebuild(&base, &entry.model, &entry.test, &lib, &tech, &analysis, &set)

@@ -9,8 +9,25 @@
 //! cached designs under a different axis selection
 //! ([`Engine::set_objectives`](super::Engine::set_objectives)) costs
 //! no fresh synthesis or simulation.
+//!
+//! [`Evaluator`] is the one place candidate evaluations are dispatched.
+//! It keeps one table of contexts, one per coefficient gene: the base
+//! circuit with its pruning analysis, and an [`OverlayContext`] built
+//! on first use and shared by `Arc`. Both dispatch shapes read that
+//! table:
+//!
+//! * **local** ([`EvalMode::Overlay`]): fresh work is sorted along the
+//!   gate-set lattice and scoped workers steal contiguous chunks of it,
+//!   each worker evaluating through rolling [`DeltaSession`]s. The
+//!   [`EvalMode::Rebuild`] oracle runs on the same pool, one item at a
+//!   time;
+//! * **fabric** ([`EvalMode::Fabric`]): each fresh candidate ships to
+//!   the attached [`EvalFabric`] as one job that folds from scratch
+//!   ([`OverlayContext::evaluate`]) on a clone of the context's `Arc`.
 
 use std::collections::HashMap;
+use std::sync::atomic::Ordering::Relaxed;
+use std::sync::atomic::{AtomicBool, AtomicUsize};
 use std::sync::{Arc, OnceLock};
 
 use egt_pdk::{Library, TechParams};
@@ -39,18 +56,18 @@ use crate::{DesignPoint, Technique};
 /// only in the affected cone. [`EvalMode::Rebuild`] keeps the legacy
 /// pipeline — re-synthesize, recompile, re-simulate per candidate. The
 /// two are bit-identical on every measured axis (the differential
-/// suite pins it); `Rebuild` exists as that suite's oracle and as the
-/// `pax-bench prune_eval` baseline.
+/// suite pins it); `Rebuild` exists as that suite's oracle, as the
+/// baseline of the `pax-bench` A/B studies and for runtime re-checks of
+/// sampled fronts.
 ///
 /// [`EvalMode::Fabric`] is overlay evaluation *routed through an
 /// external worker pool* ([`EvalFabric`]) instead of the evaluator's
-/// private scoped threads: each fresh candidate ships as an owned batch
-/// job (an `Arc`'d owned overlay context + the gate set) to — in
-/// production — the `pax-serve` engine, which multiplexes it with live
-/// inference traffic under per-study queues and budgets. Fabric results
-/// are bit-identical to `Overlay` (same `OverlayContext::evaluate` code
-/// path over clones of the same inputs; the fabric differential suite
-/// pins it).
+/// private scoped threads: each fresh candidate ships as one job that
+/// holds an `Arc` of its context's shared overlay — the same one the
+/// local workers read — to, in production, the `pax-serve` engine,
+/// which multiplexes it with live inference traffic under per-study
+/// queues and budgets. Fabric results are bit-identical to `Overlay`
+/// (the fabric differential suite pins it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvalMode {
     /// Prune-as-mask on the shared compiled tape (fast path, default).
@@ -68,6 +85,8 @@ pub enum EvalMode {
 /// in two-context setups) — with its pruning analysis computed once up
 /// front. Further coefficient levels need no `EvalContext` at all:
 /// [`Evaluator::with_coeff_axis`] materializes them lazily per gene.
+/// The evaluator copies the netlist and model once into its context
+/// table, so its overlays and fabric jobs borrow nothing.
 #[derive(Debug)]
 pub struct EvalContext<'a> {
     /// The coefficient gene selecting this context.
@@ -105,33 +124,45 @@ pub struct CoeffAxis<'a> {
     pub levels: Vec<i64>,
 }
 
-/// One base circuit materialized from the coefficient axis: the
-/// per-layer-approximated model, its optimized bespoke netlist and the
-/// pruning analysis — exactly what a caller-provided [`EvalContext`]
-/// carries, but built inside the evaluator on first use.
+/// One base circuit a candidate prunes: the (optimized) netlist, the
+/// model it hardwires and its pruning analysis. Owned behind `Arc`s so
+/// the context's overlay and fabric jobs share them without copies.
 #[derive(Debug)]
-struct MaterializedBase {
-    model: QuantizedModel,
-    netlist: Netlist,
-    analysis: PruneAnalysis,
+struct Base {
+    netlist: Arc<Netlist>,
+    model: Arc<QuantizedModel>,
+    analysis: Arc<PruneAnalysis>,
 }
 
-/// One slot of the evaluator's context table.
+/// What every overlay evaluation of one context reads: the shared
+/// overlay plus the pruning analysis its masks resolve against. Built
+/// once per context and shared by `Arc` — the local workers borrow it,
+/// each fabric job holds a clone.
 #[derive(Debug)]
-enum ContextSlot<'a> {
-    /// Caller-provided (borrowed) base circuit.
-    Given(EvalContext<'a>),
-    /// Materialized from the [`CoeffAxis`] on first access; the
-    /// `OnceLock` keeps concurrent workers from racing the synthesis.
-    Lazy { gene: CoeffGene, cell: OnceLock<MaterializedBase> },
+struct Shared {
+    overlay: OverlayContext,
+    analysis: Arc<PruneAnalysis>,
 }
 
-impl ContextSlot<'_> {
-    fn gene(&self) -> CoeffGene {
-        match self {
-            ContextSlot::Given(c) => c.coeff,
-            ContextSlot::Lazy { gene, .. } => *gene,
-        }
+/// One entry of the evaluator's context table.
+#[derive(Debug)]
+struct ContextSlot {
+    gene: CoeffGene,
+    /// Set at construction for caller-provided contexts; materialized
+    /// from the [`CoeffAxis`] on first access otherwise (the `OnceLock`
+    /// keeps concurrent workers from racing the synthesis).
+    base: OnceLock<Base>,
+    /// The overlay, built lazily on the first overlay-mode or fabric
+    /// evaluation — an evaluator pinned to [`EvalMode::Rebuild`] never
+    /// pays for overlay setup. Construction failures (library gaps,
+    /// malformed stimuli) surface per evaluation, mirroring the rebuild
+    /// path's timing.
+    shared: OnceLock<Result<Arc<Shared>, StudyError>>,
+}
+
+impl ContextSlot {
+    fn new(gene: CoeffGene) -> Self {
+        Self { gene, base: OnceLock::new(), shared: OnceLock::new() }
     }
 }
 
@@ -211,32 +242,16 @@ impl EvalCache {
 pub struct Evaluator<'a> {
     lib: &'a Library,
     tech: &'a TechParams,
-    test: &'a Dataset,
-    contexts: Vec<ContextSlot<'a>>,
+    /// The test set, copied once and shared by every context's overlay.
+    test: Arc<Dataset>,
+    contexts: Vec<ContextSlot>,
     /// The graded coefficient axis backing the lazy slots; `None` for
     /// purely caller-provided evaluators.
     axis: Option<CoeffAxis<'a>>,
-    /// One shared overlay (tape + packed stimulus + cell/delay tables +
-    /// base timing) per context, built lazily on the first overlay-mode
-    /// evaluation — an evaluator pinned to [`EvalMode::Rebuild`] (the
-    /// benchmark baseline) never pays for overlay setup. Construction
-    /// failures (library gaps, malformed stimuli) surface per
-    /// evaluation, mirroring the rebuild path's timing.
-    overlays: Vec<OnceLock<Result<OverlayContext<'a>, StudyError>>>,
     /// The external pool candidate evaluation rides in
     /// [`EvalMode::Fabric`]; `None` until [`Evaluator::with_fabric`].
     fabric: Option<Arc<dyn EvalFabric>>,
-    /// One *owned* (`'static`) overlay per context for fabric jobs,
-    /// separate from `overlays`: jobs run on worker threads that
-    /// outlive `'a`, so they cannot borrow the study's inputs. Built
-    /// lazily on the first fabric-mode evaluation that touches the
-    /// context, then shared by every job through the `Arc`.
-    fabric_contexts: Vec<OnceLock<Result<Arc<FabricContext>, StudyError>>>,
     mode: EvalMode,
-    /// Whether overlay-mode workers evaluate through rolling
-    /// [`DeltaSession`]s over lattice-ordered work (the default) or
-    /// fold every candidate from scratch ([`Evaluator::with_delta`]).
-    delta: bool,
     threads: usize,
     /// Evaluator-side phase accounting (the `resolve` slot; the
     /// per-candidate measurement phases accumulate inside each
@@ -261,20 +276,26 @@ impl<'a> Evaluator<'a> {
                 "one context per coefficient gene"
             );
         }
-        let overlays = contexts.iter().map(|_| OnceLock::new()).collect();
-        let fabric_contexts = contexts.iter().map(|_| OnceLock::new()).collect();
+        let contexts = contexts
+            .into_iter()
+            .map(|c| {
+                let base = Base {
+                    netlist: Arc::new(c.netlist.clone()),
+                    model: Arc::new(c.model.clone()),
+                    analysis: Arc::new(c.analysis),
+                };
+                ContextSlot { base: OnceLock::from(base), ..ContextSlot::new(c.coeff) }
+            })
+            .collect();
         let threads = std::thread::available_parallelism().map_or(4, |t| t.get()).min(16);
         Self {
             lib,
             tech,
-            test,
-            contexts: contexts.into_iter().map(ContextSlot::Given).collect(),
+            test: Arc::new(test.clone()),
+            contexts,
             axis: None,
-            overlays,
             fabric: None,
-            fabric_contexts,
             mode: EvalMode::default(),
-            delta: true,
             threads,
             phases: Phases::new(EVAL_PHASES),
         }
@@ -313,12 +334,9 @@ impl<'a> Evaluator<'a> {
             }
         }
         for gene in genes {
-            if self.contexts.iter().any(|c| c.gene() == gene) {
-                continue;
+            if self.contexts.iter().all(|c| c.gene != gene) {
+                self.contexts.push(ContextSlot::new(gene));
             }
-            self.contexts.push(ContextSlot::Lazy { gene, cell: OnceLock::new() });
-            self.overlays.push(OnceLock::new());
-            self.fabric_contexts.push(OnceLock::new());
         }
         self.axis = Some(axis);
         self
@@ -333,77 +351,45 @@ impl<'a> Evaluator<'a> {
     pub fn telemetry(&self) -> PhasesSnapshot {
         let merged = Phases::new(EVAL_PHASES);
         merged.merge(&self.phases);
-        for overlay in &self.overlays {
-            if let Some(Ok(ctx)) = overlay.get() {
-                merged.merge(ctx.phases());
-            }
-        }
-        for fabric_ctx in &self.fabric_contexts {
-            if let Some(Ok(ctx)) = fabric_ctx.get() {
-                merged.merge(ctx.overlay.phases());
-            }
+        for shared in self.built() {
+            merged.merge(shared.overlay.phases());
         }
         merged.snapshot()
     }
 
-    /// The shared overlay for context `ctx_idx`, built on first use
-    /// (`OnceLock` keeps concurrent workers from racing the setup).
-    /// Given contexts borrow their base circuit; lazy contexts hand the
-    /// overlay an owned clone of the materialized one (the evaluator
-    /// keeps the original for gate-set resolution and the rebuild
-    /// oracle).
-    fn overlay(&self, ctx_idx: usize) -> &Result<OverlayContext<'a>, StudyError> {
-        self.overlays[ctx_idx].get_or_init(|| match &self.contexts[ctx_idx] {
-            ContextSlot::Given(ctx) => {
-                OverlayContext::new(ctx.netlist, ctx.model, self.test, self.lib, self.tech)
-            }
-            ContextSlot::Lazy { .. } => {
-                let (netlist, model, _) = self.parts(ctx_idx);
-                OverlayContext::new_owned(
-                    netlist.clone(),
-                    model.clone(),
-                    self.test,
-                    self.lib,
-                    self.tech,
-                )
-            }
+    /// The overlays built so far, in context order.
+    fn built(&self) -> impl Iterator<Item = &Shared> {
+        self.contexts.iter().filter_map(|c| match c.shared.get() {
+            Some(Ok(shared)) => Some(&**shared),
+            _ => None,
         })
     }
 
-    /// The owned fabric overlay for context `ctx_idx`, built on first
-    /// use from clones of the same inputs [`Evaluator::overlay`] uses.
-    /// `OverlayContext` construction is deterministic (compile the
-    /// tape, pack the stimulus, analyze base timing — no ordering or
-    /// randomness), so evaluating a gate set here is bit-identical to
-    /// evaluating it on the borrowed overlay; the fabric differential
-    /// suite pins that.
-    fn fabric_context(&self, ctx_idx: usize) -> Result<&Arc<FabricContext>, StudyError> {
-        self.fabric_contexts[ctx_idx]
+    /// The shared overlay of context `ctx_idx`, built on first use from
+    /// the context's base circuit and the evaluator's test set.
+    fn shared(&self, ctx_idx: usize) -> Result<&Arc<Shared>, StudyError> {
+        self.contexts[ctx_idx]
+            .shared
             .get_or_init(|| {
-                let (netlist, model, analysis) = self.parts(ctx_idx);
-                OverlayContext::new_static(
-                    netlist.clone(),
-                    model.clone(),
-                    self.test.clone(),
+                let base = self.base(ctx_idx);
+                let overlay = OverlayContext::new(
+                    Arc::clone(&base.netlist),
+                    Arc::clone(&base.model),
+                    Arc::clone(&self.test),
                     self.lib,
-                    self.tech.clone(),
-                )
-                .map(|overlay| Arc::new(FabricContext { overlay, analysis: analysis.clone() }))
+                    self.tech,
+                )?;
+                Ok(Arc::new(Shared { overlay, analysis: Arc::clone(&base.analysis) }))
             })
             .as_ref()
             .map_err(Clone::clone)
     }
 
-    /// `(netlist, model, analysis)` of context `ctx_idx`, materializing
-    /// a lazy context on first access.
-    fn parts(&self, ctx_idx: usize) -> (&Netlist, &QuantizedModel, &PruneAnalysis) {
-        match &self.contexts[ctx_idx] {
-            ContextSlot::Given(c) => (c.netlist, c.model, &c.analysis),
-            ContextSlot::Lazy { gene, cell } => {
-                let m = cell.get_or_init(|| self.materialize(*gene));
-                (&m.netlist, &m.model, &m.analysis)
-            }
-        }
+    /// The base circuit of context `ctx_idx`, materializing a lazy
+    /// context on first access.
+    fn base(&self, ctx_idx: usize) -> &Base {
+        let slot = &self.contexts[ctx_idx];
+        slot.base.get_or_init(|| self.materialize(slot.gene))
     }
 
     /// Builds the base circuit of `gene` from the coefficient axis:
@@ -411,7 +397,7 @@ impl<'a> Evaluator<'a> {
     /// τ/φ analysis — the same pipeline callers run for their given
     /// contexts, which is what keeps the lazy path bit-identical to
     /// handing the circuit in up front.
-    fn materialize(&self, gene: CoeffGene) -> MaterializedBase {
+    fn materialize(&self, gene: CoeffGene) -> Base {
         let axis = self.axis.as_ref().expect("lazy contexts always carry a coeff axis");
         let widths: Vec<i64> = (0..MAX_COEFF_LAYERS)
             .map(|layer| match gene.level(layer) {
@@ -423,7 +409,7 @@ impl<'a> Evaluator<'a> {
         let netlist =
             pax_synth::opt::optimize(&pax_bespoke::BespokeCircuit::generate(&model).netlist);
         let analysis = crate::prune::analyze(&netlist, &model, axis.train);
-        MaterializedBase { model, netlist, analysis }
+        Base { netlist: Arc::new(netlist), model: Arc::new(model), analysis: Arc::new(analysis) }
     }
 
     /// Selects how candidates are measured (overlay by default). See
@@ -436,8 +422,8 @@ impl<'a> Evaluator<'a> {
 
     /// Attaches an external worker pool and switches to
     /// [`EvalMode::Fabric`]: every fresh evaluation ships to `fabric`
-    /// as an owned job instead of running on the evaluator's private
-    /// scoped threads. In production the fabric is a `pax-serve` tenant
+    /// as one job instead of running on the evaluator's private scoped
+    /// threads. In production the fabric is a `pax-serve` tenant
     /// handle, which multiplexes study evaluations with live inference
     /// traffic under that study's queue, budget and metrics.
     #[must_use]
@@ -447,50 +433,18 @@ impl<'a> Evaluator<'a> {
         self
     }
 
-    /// Pins the worker-pool width (defaults to the machine's available
-    /// parallelism, capped at 16). Benchmarks pin this so delta and
-    /// baseline paths are compared at one thread count; zero is
-    /// clamped to one.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Enables or disables delta evaluation in overlay mode (on by
-    /// default). With delta on, fresh work is sorted along the gate-set
-    /// lattice and each worker evaluates through a rolling
-    /// [`DeltaSession`], so consecutive candidates reuse the previous
-    /// fold and simulation instead of starting over. With delta off,
-    /// every candidate folds and simulates from scratch — the PR 9
-    /// baseline, kept as the benchmark reference and differential
-    /// oracle. Results are bit-identical either way.
-    #[must_use]
-    pub fn with_delta(mut self, delta: bool) -> Self {
-        self.delta = delta;
-        self
-    }
-
     /// The active evaluation mode.
     pub fn mode(&self) -> EvalMode {
         self.mode
     }
 
     /// Cumulative delta/full fold counters summed over every built
-    /// overlay (fabric contexts included). The split depends on how
-    /// workers chunked the batch, so it is telemetry — never part of
-    /// determinism comparisons.
+    /// overlay. The split depends on how workers chunked the batch, so
+    /// it is telemetry — never part of determinism comparisons.
     pub fn delta_stats(&self) -> DeltaFoldStats {
         let mut stats = DeltaFoldStats::default();
-        for overlay in &self.overlays {
-            if let Some(Ok(ctx)) = overlay.get() {
-                stats.merge(&ctx.delta_stats());
-            }
-        }
-        for fabric_ctx in &self.fabric_contexts {
-            if let Some(Ok(ctx)) = fabric_ctx.get() {
-                stats.merge(&ctx.overlay.delta_stats());
-            }
+        for shared in self.built() {
+            stats.merge(&shared.overlay.delta_stats());
         }
         stats
     }
@@ -506,9 +460,9 @@ impl<'a> Evaluator<'a> {
             tau_values: cfg.tau_values(),
             contexts: (0..self.contexts.len())
                 .map(|i| {
-                    let (_, _, analysis) = self.parts(i);
+                    let analysis = &self.base(i).analysis;
                     ContextSpace {
-                        gene: self.contexts[i].gene(),
+                        gene: self.contexts[i].gene,
                         gates: analysis
                             .candidates
                             .iter()
@@ -522,20 +476,17 @@ impl<'a> Evaluator<'a> {
 
     /// The coefficient genes the evaluator can serve, in context order.
     pub fn genes(&self) -> Vec<CoeffGene> {
-        self.contexts.iter().map(ContextSlot::gene).collect()
+        self.contexts.iter().map(|c| c.gene).collect()
     }
 
     fn context_index(&self, gene: CoeffGene) -> Result<usize, StudyError> {
-        self.contexts
-            .iter()
-            .position(|c| c.gene() == gene)
-            .ok_or(StudyError::MissingContext { gene })
+        self.contexts.iter().position(|c| c.gene == gene).ok_or(StudyError::MissingContext { gene })
     }
 
     /// The sorted pruned-gate set a candidate selects (the paper's
     /// step-3 filter: τ-qualified gates whose φ is at most φc).
     pub fn gate_set(&self, c: &Candidate) -> Result<Vec<NetId>, StudyError> {
-        let (_, _, a) = self.parts(self.context_index(c.coeff)?);
+        let a = &self.base(self.context_index(c.coeff)?).analysis;
         let mut set: Vec<NetId> = a
             .candidates
             .iter()
@@ -569,7 +520,7 @@ impl<'a> Evaluator<'a> {
         // (its prefix semantics are order-dependent).
         let resolved = self.phases.time(phase::RESOLVE, || self.resolve_sets(batch))?;
         let mut keys = Vec::with_capacity(batch.len());
-        let mut fresh: Vec<(u64, usize, Vec<NetId>)> = Vec::new();
+        let mut fresh: Vec<Fresh> = Vec::new();
         let mut fresh_keys: HashMap<u64, usize> = HashMap::new();
         let budget = max_new_evals.unwrap_or(usize::MAX);
         for (ctx, set) in resolved {
@@ -591,7 +542,11 @@ impl<'a> Evaluator<'a> {
             keys.push(key);
         }
         let new_evals = fresh.len();
-        for (key, eval) in self.run_parallel(&fresh)? {
+        let evals = match self.mode {
+            EvalMode::Fabric => self.run_fabric(fresh)?,
+            EvalMode::Overlay | EvalMode::Rebuild => self.run_local(&fresh)?,
+        };
+        for (key, eval) in evals {
             cache.map.insert(key, eval);
         }
         let results = batch[..keys.len()]
@@ -641,29 +596,28 @@ impl<'a> Evaluator<'a> {
         Ok(resolved)
     }
 
-    /// Runs the fresh evaluations over a work-stealing worker pool
-    /// (set sizes — and thus re-synthesis costs — vary wildly, so
-    /// static chunking would leave threads idle). In overlay mode with
-    /// delta evaluation on, the work is first sorted along the gate-set
-    /// lattice — by context, then lexicographically by sorted gate set:
-    /// the order a DFS of the set prefix trie visits, so adjacent items
-    /// share long substitution prefixes — and stolen in small
-    /// contiguous chunks that each worker's rolling [`DeltaSession`]
-    /// evaluates in sequence. Results are keyed, so the reordering
-    /// cannot change the assembled batch.
-    fn run_parallel(
-        &self,
-        fresh: &[(u64, usize, Vec<NetId>)],
-    ) -> Result<Vec<(u64, PruneEval)>, StudyError> {
+    /// Runs the fresh evaluations on the evaluator's own scoped worker
+    /// pool, stealing work from a shared counter (set sizes, and thus
+    /// costs, vary wildly, so static chunking would leave threads
+    /// idle). In overlay mode the work is first sorted along the
+    /// gate-set lattice — by context, then lexicographically by sorted
+    /// gate set: the order a DFS of the set prefix trie visits, so
+    /// adjacent items share long substitution prefixes — and stolen in
+    /// small contiguous chunks that each worker evaluates through a
+    /// rolling [`DeltaSession`]. In rebuild mode workers steal single
+    /// items and run the legacy pipeline. Results are keyed, so the
+    /// reordering cannot change the assembled batch.
+    fn run_local(&self, fresh: &[Fresh]) -> Result<Vec<(u64, PruneEval)>, StudyError> {
         if fresh.is_empty() {
             return Ok(Vec::new());
         }
-        if self.mode == EvalMode::Fabric {
-            return self.run_fabric(fresh);
-        }
-        let use_delta = self.delta && self.mode == EvalMode::Overlay;
         let mut order: Vec<usize> = (0..fresh.len()).collect();
-        let chunk = if use_delta {
+        // Rebuilds share nothing between neighbours, so they keep
+        // batch order and single-item stealing, which balances their
+        // costlier, uneven work best.
+        let chunk = if self.mode == EvalMode::Rebuild {
+            1
+        } else {
             order.sort_unstable_by(|&x, &y| {
                 (fresh[x].1, &fresh[x].2).cmp(&(fresh[y].1, &fresh[y].2))
             });
@@ -671,56 +625,51 @@ impl<'a> Evaluator<'a> {
             // across lattice neighbours, small enough that the pool
             // stays balanced on modest batches.
             (fresh.len() / (self.threads * 4)).clamp(1, 32)
-        } else {
-            1
         };
         let n_chunks = order.len().div_ceil(chunk);
-        let next = std::sync::atomic::AtomicUsize::new(0);
+        let next = AtomicUsize::new(0);
         // First error aborts the whole batch: without the shared flag,
         // the other workers would drain every remaining (expensive)
         // evaluation before the error could propagate.
-        let abort = std::sync::atomic::AtomicBool::new(false);
+        let abort = AtomicBool::new(false);
         let threads = self.threads.min(n_chunks);
         let (tx, rx) = std::sync::mpsc::channel::<Result<(u64, PruneEval), StudyError>>();
         std::thread::scope(|s| {
             for _ in 0..threads {
-                let next = &next;
-                let abort = &abort;
-                let order = &order;
-                let tx = tx.clone();
+                let (next, abort, order, tx) = (&next, &abort, &order, tx.clone());
                 s.spawn(move || {
                     // context → rolling session, most recent first.
                     let mut sessions: Vec<(usize, DeltaSession)> = Vec::new();
                     'steal: loop {
-                        let c = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if c >= n_chunks || abort.load(std::sync::atomic::Ordering::Relaxed) {
+                        let c = next.fetch_add(1, Relaxed);
+                        if c >= n_chunks || abort.load(Relaxed) {
                             break;
                         }
                         for &i in &order[c * chunk..((c + 1) * chunk).min(order.len())] {
-                            if abort.load(std::sync::atomic::Ordering::Relaxed) {
+                            if abort.load(Relaxed) {
                                 break 'steal;
                             }
                             let (key, ctx_idx, set) = &fresh[i];
-                            let (netlist, model, analysis) = self.parts(*ctx_idx);
-                            let r = match self.mode {
-                                EvalMode::Overlay => match self.overlay(*ctx_idx) {
-                                    Ok(overlay) if use_delta => {
-                                        let session = session_for(&mut sessions, *ctx_idx, overlay);
-                                        overlay.evaluate_with_session(analysis, set, session)
-                                    }
-                                    Ok(overlay) => overlay.evaluate(analysis, set),
-                                    Err(e) => Err(e.clone()),
-                                },
-                                EvalMode::Rebuild => crate::prune::try_evaluate_set_rebuild(
-                                    netlist, model, self.test, self.lib, self.tech, analysis, set,
-                                ),
-                                EvalMode::Fabric => {
-                                    unreachable!("fabric batches run in run_fabric")
-                                }
+                            let r = if self.mode == EvalMode::Rebuild {
+                                let b = self.base(*ctx_idx);
+                                crate::prune::try_evaluate_set_rebuild(
+                                    &b.netlist,
+                                    &b.model,
+                                    &self.test,
+                                    self.lib,
+                                    self.tech,
+                                    &b.analysis,
+                                    set,
+                                )
+                            } else {
+                                self.shared(*ctx_idx).and_then(|s| {
+                                    let session = session_for(&mut sessions, *ctx_idx, &s.overlay);
+                                    s.overlay.evaluate_with_session(&s.analysis, set, session)
+                                })
                             };
                             let stop = r.is_err();
                             if stop {
-                                abort.store(true, std::sync::atomic::Ordering::Relaxed);
+                                abort.store(true, Relaxed);
                             }
                             tx.send(r.map(|e| (*key, e))).expect("receiver outlives workers");
                             if stop {
@@ -735,21 +684,21 @@ impl<'a> Evaluator<'a> {
         })
     }
 
-    /// Ships the fresh evaluations to the attached [`EvalFabric`] as
-    /// owned jobs — one per distinct `(context, gate set)` — and
-    /// collects their results over a channel. A job dropped unrun (its
-    /// tenant unregistered, or the pool torn down mid-batch) never
-    /// sends, so the channel closes short and the batch fails with
+    /// Ships the fresh evaluations to the attached [`EvalFabric`] — one
+    /// job per distinct `(context, gate set)`, each holding an `Arc` of
+    /// its context's shared overlay and folding from scratch — and
+    /// collects their results over a channel. One candidate per job
+    /// keeps each job short, so a serve worker is never held for a
+    /// whole chunk while requests wait. A job dropped unrun (its tenant
+    /// unregistered, or the pool torn down mid-batch) never sends, so
+    /// the channel closes short and the batch fails with
     /// [`FabricError::Cancelled`] instead of hanging.
-    fn run_fabric(
-        &self,
-        fresh: &[(u64, usize, Vec<NetId>)],
-    ) -> Result<Vec<(u64, PruneEval)>, StudyError> {
+    fn run_fabric(&self, fresh: Vec<Fresh>) -> Result<Vec<(u64, PruneEval)>, StudyError> {
         let fabric = self.fabric.as_ref().ok_or(StudyError::Fabric(FabricError::NotAttached))?;
+        let n = fresh.len();
         let (tx, rx) = std::sync::mpsc::channel::<Result<(u64, PruneEval), StudyError>>();
         for (key, ctx_idx, set) in fresh {
-            let shared = Arc::clone(self.fabric_context(*ctx_idx)?);
-            let (key, set, tx) = (*key, set.clone(), tx.clone());
+            let (shared, tx) = (Arc::clone(self.shared(ctx_idx)?), tx.clone());
             let job = Box::new(move || {
                 let r = shared.overlay.evaluate(&shared.analysis, &set).map(|e| (key, e));
                 // The receiver is gone when the driving thread already
@@ -759,11 +708,11 @@ impl<'a> Evaluator<'a> {
             fabric.submit(job).map_err(StudyError::Fabric)?;
         }
         drop(tx);
-        let mut out = Vec::with_capacity(fresh.len());
+        let mut out = Vec::with_capacity(n);
         for r in rx {
             out.push(r?);
         }
-        if out.len() < fresh.len() {
+        if out.len() < n {
             return Err(StudyError::Fabric(FabricError::Cancelled));
         }
         Ok(out)
@@ -784,20 +733,11 @@ impl<'a> Evaluator<'a> {
     }
 }
 
-/// The owned evaluation state one context ships to fabric workers: a
-/// `'static` overlay (owned clones of the base netlist, model, test
-/// set and technology parameters) plus the pruning analysis the τ/φ
-/// mask resolution reads. Everything a job touches lives behind one
-/// `Arc`, so jobs are `'static` and the pool can run them on threads
-/// that outlive the study's stack frame.
-#[derive(Debug)]
-struct FabricContext {
-    overlay: OverlayContext<'static>,
-    analysis: PruneAnalysis,
-}
-
 /// One resolved genome: `(context index, sorted pruned-gate set)`.
 type ResolvedSet = (usize, Vec<NetId>);
+
+/// One fresh evaluation: `(cache key, context index, sorted gate set)`.
+type Fresh = (u64, usize, Vec<NetId>);
 
 /// The worker's rolling session for `ctx_idx`, moved to the front of a
 /// two-slot LRU — created fresh from `overlay` on a miss, evicting the
@@ -807,7 +747,7 @@ type ResolvedSet = (usize, Vec<NetId>);
 fn session_for<'s>(
     sessions: &'s mut Vec<(usize, DeltaSession)>,
     ctx_idx: usize,
-    overlay: &OverlayContext<'_>,
+    overlay: &OverlayContext,
 ) -> &'s mut DeltaSession {
     if let Some(p) = sessions.iter().position(|(c, _)| *c == ctx_idx) {
         let hot = sessions.remove(p);

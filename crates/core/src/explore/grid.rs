@@ -8,10 +8,12 @@ use crate::DesignPoint;
 /// relevant φc from the τ-qualified gates' distinct φ values (the
 /// paper's Φτ acceleration) — for each base circuit in the space.
 ///
-/// Through the engine this reproduces `enumerate_grid` +
-/// `evaluate_grid` exactly: same candidates, same order, one
-/// evaluation per distinct pruned-gate set (the engine's cache takes
-/// the role of the grid's dedup map).
+/// Through the engine this reproduces `enumerate_grid` exactly: same
+/// candidates, same order, one evaluation per distinct pruned-gate set
+/// (the engine's cache takes the role of the grid's dedup map), each
+/// bit-identical to measuring that set on the rebuild oracle
+/// (`try_evaluate_set_rebuild`) — the framework and
+/// `integration_explore` tests pin both.
 #[derive(Debug, Default)]
 pub struct ExhaustiveGrid {
     emitted: bool,

@@ -690,9 +690,9 @@ impl Framework {
     /// One pruning exploration on the [`explore::Engine`](crate::explore::Engine):
     /// analyze the base circuit once, then let the configured strategy
     /// search its `(τc, φc)` space under the configured objective set.
-    /// With [`StrategyConfig::Exhaustive`] this reproduces the
-    /// pre-engine `enumerate_grid` + `evaluate_grid` sweep point for
-    /// point.
+    /// With [`StrategyConfig::Exhaustive`] this reproduces the paper's
+    /// grid (`enumerate_grid`, each distinct set measured on the
+    /// rebuild oracle) point for point.
     #[allow(clippy::too_many_arguments)]
     fn explore_series(
         &self,
@@ -943,7 +943,8 @@ mod tests {
     #[test]
     fn exhaustive_engine_matches_legacy_grid_sweep() {
         // Golden reproduction: the engine-driven default study must
-        // equal the pre-refactor enumerate_grid + evaluate_grid flow.
+        // equal enumerate_grid with every distinct set measured on the
+        // rebuild oracle.
         let data = blobs("legacy", 230, 3, 3, 0.09, 91);
         let (train, test) = data.split(0.7, 1);
         let (train, test) = pax_ml::normalize(&train, &test);
@@ -958,15 +959,22 @@ mod tests {
         };
         let analysis = analyze(&circuit.netlist, &q, &train);
         let grid = crate::prune::enumerate_grid(&analysis, &fw.config().prune);
-        let evals = crate::prune::evaluate_grid(
-            &circuit.netlist,
-            &q,
-            &test,
-            fw.library(),
-            &fw.config().tech,
-            &analysis,
-            &grid,
-        );
+        let evals: Vec<_> = grid
+            .sets
+            .iter()
+            .map(|set| {
+                crate::prune::try_evaluate_set_rebuild(
+                    &circuit.netlist,
+                    &q,
+                    &test,
+                    fw.library(),
+                    &fw.config().tech,
+                    &analysis,
+                    set,
+                )
+                .unwrap()
+            })
+            .collect();
         let legacy: Vec<DesignPoint> = grid
             .combos
             .iter()

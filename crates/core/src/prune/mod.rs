@@ -30,8 +30,7 @@ pub(crate) use overlay::phase;
 pub use overlay::{DeltaFoldStats, DeltaSession, OverlayContext, EVAL_PHASES};
 pub(crate) use search::gate_set_hash;
 pub use search::{
-    apply_set, enumerate_grid, evaluate_grid, try_evaluate_grid, try_evaluate_set_rebuild,
-    GridCombo, PruneEval, PruneGrid,
+    apply_set, enumerate_grid, try_evaluate_set_rebuild, GridCombo, PruneEval, PruneGrid,
 };
 
 /// Configuration of the pruning exploration.

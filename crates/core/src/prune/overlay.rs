@@ -42,10 +42,15 @@
 //! svm-r design point. The rebuild pipeline itself stays in
 //! `search.rs` as that suite's oracle.
 //!
+//! A context owns its inputs behind `Arc`s, so the
+//! [`Evaluator`](crate::explore::Evaluator) builds one per base circuit
+//! and shares it between its local workers and its fabric jobs; the
+//! contexts of one evaluator share a single copy of the test set.
+//!
 //! [`Provenance`]: pax_netlist::fold::Provenance
 
-use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use egt_pdk::{Library, PdkError, TechParams};
 use pax_bespoke::{score_outputs, stimulus_for};
@@ -130,17 +135,14 @@ impl CellTable {
 /// the base timing profile and the fanout table the affected-cone
 /// analysis walks. Build once per `(base circuit, test set)` pair; then
 /// [`evaluate`](Self::evaluate) any number of pruned-gate sets without
-/// re-synthesis or recompilation.
+/// re-synthesis or recompilation. It owns what it reads, so it can be
+/// shared with threads that outlive its builder.
 #[derive(Debug)]
-pub struct OverlayContext<'a> {
-    /// The base circuit — borrowed for caller-provided contexts
-    /// ([`OverlayContext::new`]), owned for lazily materialized
-    /// coefficient-level contexts ([`OverlayContext::new_owned`]) and
-    /// for fabric-shipped contexts ([`OverlayContext::new_static`]).
-    base: Cow<'a, Netlist>,
-    model: Cow<'a, QuantizedModel>,
-    test: Cow<'a, Dataset>,
-    tech: Cow<'a, TechParams>,
+pub struct OverlayContext {
+    base: Arc<Netlist>,
+    model: Arc<QuantizedModel>,
+    test: Arc<Dataset>,
+    tech: TechParams,
     tape: CompiledNetlist,
     packed: PackedStimulus,
     /// One recorded unfused run of the base tape on the packed test
@@ -229,9 +231,10 @@ pub struct DeltaSession {
     last_mask: Vec<(NetId, bool)>,
 }
 
-impl<'a> OverlayContext<'a> {
+impl OverlayContext {
     /// Compiles the shared tape, packs the test stimulus and profiles
-    /// the base circuit's timing.
+    /// the base circuit's timing. Pass owned values, or `Arc`s to share
+    /// them with other owners.
     ///
     /// # Errors
     ///
@@ -244,86 +247,26 @@ impl<'a> OverlayContext<'a> {
     /// Panics if the dataset's feature count differs from the model's
     /// (a caller bug, exactly like the rebuild path).
     pub fn new(
-        base: &'a Netlist,
-        model: &'a QuantizedModel,
-        test: &'a Dataset,
-        lib: &'a Library,
-        tech: &'a TechParams,
-    ) -> Result<Self, StudyError> {
-        Self::from_parts(
-            Cow::Borrowed(base),
-            Cow::Borrowed(model),
-            Cow::Borrowed(test),
-            lib,
-            Cow::Borrowed(tech),
-        )
-    }
-
-    /// [`OverlayContext::new`] over an owned base circuit and model —
-    /// the form lazily materialized coefficient-level contexts use,
-    /// where the netlist is synthesized inside the evaluator and has no
-    /// external owner to borrow from. Evaluation is bit-identical to
-    /// the borrowed form.
-    pub fn new_owned(
-        base: Netlist,
-        model: QuantizedModel,
-        test: &'a Dataset,
-        lib: &'a Library,
-        tech: &'a TechParams,
-    ) -> Result<Self, StudyError> {
-        Self::from_parts(
-            Cow::Owned(base),
-            Cow::Owned(model),
-            Cow::Borrowed(test),
-            lib,
-            Cow::Borrowed(tech),
-        )
-    }
-
-    /// A fully-owned context that borrows nothing: the form evaluation
-    /// jobs ship to an external worker pool
-    /// ([`EvalFabric`](crate::explore::EvalFabric)), whose long-lived
-    /// threads cannot borrow from the submitting study's stack. The
-    /// library is consumed into the context's cell/delay tables (as in
-    /// every other constructor), so only the netlist, model, test set
-    /// and tech point need owning. Evaluation is bit-identical to the
-    /// borrowed forms — construction runs the very same code path.
-    pub fn new_static(
-        base: Netlist,
-        model: QuantizedModel,
-        test: Dataset,
+        base: impl Into<Arc<Netlist>>,
+        model: impl Into<Arc<QuantizedModel>>,
+        test: impl Into<Arc<Dataset>>,
         lib: &Library,
-        tech: TechParams,
-    ) -> Result<OverlayContext<'static>, StudyError> {
-        OverlayContext::from_parts(
-            Cow::Owned(base),
-            Cow::Owned(model),
-            Cow::Owned(test),
-            lib,
-            Cow::Owned(tech),
-        )
-    }
-
-    fn from_parts(
-        base: Cow<'a, Netlist>,
-        model: Cow<'a, QuantizedModel>,
-        test: Cow<'a, Dataset>,
-        lib: &Library,
-        tech: Cow<'a, TechParams>,
+        tech: &TechParams,
     ) -> Result<Self, StudyError> {
+        let (base, model, test) = (base.into(), model.into(), test.into());
         // Single-threaded tape by default: evaluation runs inside an
         // already-saturated worker pool, so nested word-parallelism
         // would only oversubscribe the cores.
         let tape = CompiledNetlist::compile(&base).with_threads(1);
         let packed = tape.pack(&stimulus_for(&model, &test))?;
         let trace = tape.trace(&packed);
-        let base_arrival = pax_sta::analyze(&base, lib, &tech)?.arrival_ms;
+        let base_arrival = pax_sta::analyze(&base, lib, tech)?.arrival_ms;
         let fanout = Fanout::build(&base);
         Ok(Self {
             base,
             model,
             test,
-            tech,
+            tech: tech.clone(),
             tape,
             packed,
             trace,
@@ -621,7 +564,9 @@ mod tests {
         let tech = egt_pdk::TechParams::egt();
         let a = analyze(&c.netlist, &c.model, &train);
         let grid = enumerate_grid(&a, &PruneConfig::default());
-        let ctx = OverlayContext::new(&c.netlist, &c.model, &test, &lib, &tech).unwrap();
+        let ctx =
+            OverlayContext::new(c.netlist.clone(), c.model.clone(), test.clone(), &lib, &tech)
+                .unwrap();
         for set in &grid.sets {
             let overlay = ctx.evaluate(&a, set).unwrap();
             let rebuild =
@@ -649,7 +594,9 @@ mod tests {
         let tech = egt_pdk::TechParams::egt();
         let a = analyze(&c.netlist, &c.model, &train);
         let grid = enumerate_grid(&a, &PruneConfig::default());
-        let ctx = OverlayContext::new(&c.netlist, &c.model, &test, &lib, &tech).unwrap();
+        let ctx =
+            OverlayContext::new(c.netlist.clone(), c.model.clone(), test.clone(), &lib, &tech)
+                .unwrap();
         let mut session = ctx.delta_session();
         // Forward then reverse: the forward leg resumes neighbouring
         // sets with small deltas, the reverse leg jumps between mostly
@@ -687,7 +634,7 @@ mod tests {
         let tech = egt_pdk::TechParams::egt();
         let _a = analyze(&c.netlist, &c.model, &train);
         // The base timing profile already needs the library.
-        let err = OverlayContext::new(&c.netlist, &c.model, &test, &empty, &tech)
+        let err = OverlayContext::new(c.netlist.clone(), c.model.clone(), test, &empty, &tech)
             .expect_err("empty library cannot profile the base circuit");
         assert!(matches!(err, StudyError::Library(PdkError::UnknownCell(_))));
     }

@@ -7,7 +7,6 @@ use pax_ml::Dataset;
 use pax_netlist::{NetId, Netlist};
 use pax_synth::{area, opt};
 
-use super::overlay::OverlayContext;
 use super::{PruneAnalysis, PruneConfig};
 use crate::error::StudyError;
 
@@ -136,96 +135,12 @@ pub fn apply_set(base: &Netlist, analysis: &PruneAnalysis, set: &[NetId]) -> Net
     opt::apply_constants(base, &subst)
 }
 
-/// Evaluates every distinct pruned set of the grid in parallel over one
-/// shared [`OverlayContext`]: masked simulation of the shared compiled
-/// tape, symbolic fold for the surviving structure, incremental
-/// re-timing — no per-candidate re-synthesis or recompilation, with
-/// results bit-identical to the legacy rebuild pipeline (kept as
-/// [`try_evaluate_set_rebuild`], the differential-test oracle).
-///
-/// Returns one [`PruneEval`] per entry of `grid.sets`.
-///
-/// # Panics
-///
-/// Panics when the library does not cover the circuit or the dataset
-/// does not match the model — [`try_evaluate_grid`] surfaces those as
-/// [`StudyError`] instead.
-pub fn evaluate_grid(
-    base: &Netlist,
-    model: &QuantizedModel,
-    test: &Dataset,
-    lib: &Library,
-    tech: &TechParams,
-    analysis: &PruneAnalysis,
-    grid: &PruneGrid,
-) -> Vec<PruneEval> {
-    try_evaluate_grid(base, model, test, lib, tech, analysis, grid)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`evaluate_grid`] surfacing library/simulation problems as
-/// [`StudyError`] instead of panicking. The first failing candidate
-/// aborts the remaining (expensive) evaluations.
-pub fn try_evaluate_grid(
-    base: &Netlist,
-    model: &QuantizedModel,
-    test: &Dataset,
-    lib: &Library,
-    tech: &TechParams,
-    analysis: &PruneAnalysis,
-    grid: &PruneGrid,
-) -> Result<Vec<PruneEval>, StudyError> {
-    let n = grid.sets.len();
-    if n == 0 {
-        return Ok(Vec::new());
-    }
-    let ctx = OverlayContext::new(base, model, test, lib, tech)?;
-    // Work-stealing over a shared counter: set sizes (and thus fold and
-    // cone costs) vary wildly, so static chunking would leave threads
-    // idle. Results stream back over a channel; the first error trips
-    // the abort flag so the other workers stop draining the grid.
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let abort = std::sync::atomic::AtomicBool::new(false);
-    let threads = std::thread::available_parallelism().map_or(4, |t| t.get()).min(16).min(n);
-    let (tx, rx) = std::sync::mpsc::channel::<Result<(usize, PruneEval), StudyError>>();
-    let collected: Vec<Result<(usize, PruneEval), StudyError>> = std::thread::scope(|s| {
-        for _ in 0..threads {
-            let next = &next;
-            let abort = &abort;
-            let ctx = &ctx;
-            let tx = tx.clone();
-            s.spawn(move || loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= n || abort.load(std::sync::atomic::Ordering::Relaxed) {
-                    break;
-                }
-                let r = ctx.evaluate(analysis, &grid.sets[i]);
-                let stop = r.is_err();
-                if stop {
-                    abort.store(true, std::sync::atomic::Ordering::Relaxed);
-                }
-                tx.send(r.map(|e| (i, e))).expect("receiver outlives workers");
-                if stop {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-        rx.iter().collect()
-    });
-    let mut results: Vec<Option<PruneEval>> = vec![None; n];
-    for r in collected {
-        let (i, e) = r?;
-        results[i] = Some(e);
-    }
-    results.into_iter().map(|r| r.ok_or(StudyError::IncompleteGrid)).collect()
-}
-
 /// The legacy per-set pipeline: prune, re-synthesize, recompile,
 /// re-simulate and walk area/power/timing on the rebuilt netlist.
 ///
 /// Production evaluation runs on the overlay
-/// ([`OverlayContext::evaluate`]); this path is kept as the
+/// ([`OverlayContext::evaluate`](super::OverlayContext::evaluate));
+/// this path is kept as the
 /// **differential oracle** — `tests/proptest_overlay.rs` pins the
 /// overlay bit-for-bit against it on every axis — and as the
 /// [`EvalMode::Rebuild`](crate::explore::EvalMode) benchmark baseline.
@@ -313,8 +228,13 @@ mod tests {
         let tech = egt_pdk::TechParams::egt();
         let a = analyze(&c.netlist, &c.model, &train);
         let grid = enumerate_grid(&a, &PruneConfig::default());
-        let evals = evaluate_grid(&c.netlist, &c.model, &test, &lib, &tech, &a, &grid);
-        assert_eq!(evals.len(), grid.n_unique());
+        let evals: Vec<PruneEval> = grid
+            .sets
+            .iter()
+            .map(|set| {
+                try_evaluate_set_rebuild(&c.netlist, &c.model, &test, &lib, &tech, &a, set).unwrap()
+            })
+            .collect();
         let base_area = area::area_mm2(&c.netlist, &lib).unwrap();
         for e in &evals {
             assert!(e.area_mm2 <= base_area + 1e-9, "pruning may not add area");

@@ -16,22 +16,28 @@
 //! * thread-count invariance of the masked tape execution;
 //! * the public `Evaluator` paths (`EvalMode::Overlay` vs
 //!   `EvalMode::Rebuild`) producing identical `DesignPoint`s;
-//! * `try_evaluate_grid` surfacing library gaps as `StudyError`
-//!   instead of panicking.
+//! * every `Evaluator` path (overlay, rebuild, fabric) surfacing
+//!   library gaps as `StudyError` instead of panicking;
+//! * evaluator telemetry counting each evaluation once, in-process and
+//!   through a fabric.
 //!
 //! Run with a fixed seed (`PAX_PROPTEST_SEED=<n>`) for reproducible
 //! case streams — CI pins one in the `overlay-differential` job.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use egt_pdk::{Library, TechParams};
 use pax_bespoke::BespokeCircuit;
 use pax_core::coeff_approx::CoeffApproxConfig;
 use pax_core::explore::{
-    Candidate, CoeffAxis, CoeffGene, EvalCache, EvalContext, EvalMode, Evaluator,
+    Candidate, CoeffAxis, CoeffGene, Engine, EvalCache, EvalContext, EvalFabric, EvalMode,
+    Evaluator, ExhaustiveGrid, FabricError, FabricJob,
 };
 use pax_core::mult_cache::MultCache;
 use pax_core::prune::{
-    analyze, enumerate_grid, try_evaluate_grid, try_evaluate_set_rebuild, OverlayContext,
-    PruneAnalysis, PruneConfig, PruneEval,
+    analyze, enumerate_grid, try_evaluate_set_rebuild, OverlayContext, PruneAnalysis, PruneConfig,
+    PruneEval,
 };
 use pax_core::StudyError;
 use pax_ml::quant::{QuantSpec, QuantizedModel};
@@ -103,9 +109,15 @@ fn check_fixture(f: &Fixture, tau_c: f64, phi_c: i64, threads: usize) {
     let lib = egt_pdk::egt_library();
     let tech = TechParams::egt();
     let set = gate_set(&f.analysis, tau_c, phi_c);
-    let ctx = OverlayContext::new(&f.circuit.netlist, &f.circuit.model, &f.test, &lib, &tech)
-        .expect("context over the EGT library")
-        .with_threads(threads);
+    let ctx = OverlayContext::new(
+        f.circuit.netlist.clone(),
+        f.circuit.model.clone(),
+        f.test.clone(),
+        &lib,
+        &tech,
+    )
+    .expect("context over the EGT library")
+    .with_threads(threads);
     let overlay = ctx.evaluate(&f.analysis, &set).expect("overlay evaluation");
     let rebuild = try_evaluate_set_rebuild(
         &f.circuit.netlist,
@@ -163,8 +175,14 @@ proptest! {
         let f = classifier_fixture(seed);
         let lib = egt_pdk::egt_library();
         let tech = TechParams::egt();
-        let ctx = OverlayContext::new(&f.circuit.netlist, &f.circuit.model, &f.test, &lib, &tech)
-            .expect("context over the EGT library");
+        let ctx = OverlayContext::new(
+            f.circuit.netlist.clone(),
+            f.circuit.model.clone(),
+            f.test.clone(),
+            &lib,
+            &tech,
+        )
+        .expect("context over the EGT library");
         let mut session = ctx.delta_session();
         for (i, &(tau_c, phi_c)) in chain.iter().enumerate() {
             let set = gate_set(&f.analysis, tau_c, phi_c);
@@ -203,9 +221,15 @@ fn grid_sweep_is_thread_invariant_and_bit_identical() {
         })
         .collect();
     for threads in [1usize, 2, 8] {
-        let ctx = OverlayContext::new(&f.circuit.netlist, &f.circuit.model, &f.test, &lib, &tech)
-            .unwrap()
-            .with_threads(threads);
+        let ctx = OverlayContext::new(
+            f.circuit.netlist.clone(),
+            f.circuit.model.clone(),
+            f.test.clone(),
+            &lib,
+            &tech,
+        )
+        .unwrap()
+        .with_threads(threads);
         for (s, want) in grid.sets.iter().zip(&reference) {
             let got = ctx.evaluate(&f.analysis, s).unwrap();
             assert_bit_equal(&got, want, &format!("threads={threads} |set|={}", s.len()));
@@ -220,26 +244,18 @@ fn evaluator_modes_agree_bit_for_bit() {
     let f = classifier_fixture(2);
     let lib = egt_pdk::egt_library();
     let tech = TechParams::egt();
-    let contexts = || {
-        vec![EvalContext {
-            coeff: CoeffGene::exact(),
-            netlist: &f.circuit.netlist,
-            model: &f.circuit.model,
-            analysis: f.analysis.clone(),
-        }]
-    };
     let candidates: Vec<Candidate> = [(0.8, 3), (0.9, 0), (0.95, -1), (0.99, 8), (0.85, 5)]
         .iter()
         .map(|&(tau_c, phi_c)| Candidate { coeff: CoeffGene::exact(), tau_c, phi_c })
         .collect();
 
-    let overlay_eval = Evaluator::new(&lib, &tech, &f.test, contexts());
+    let overlay_eval = Evaluator::new(&lib, &tech, &f.test, exact_context(&f));
     assert_eq!(overlay_eval.mode(), EvalMode::Overlay, "overlay is the default");
     let (a, fresh_a) =
         overlay_eval.evaluate_batch(&candidates, &mut EvalCache::new(), None).unwrap();
 
     let rebuild_eval =
-        Evaluator::new(&lib, &tech, &f.test, contexts()).with_mode(EvalMode::Rebuild);
+        Evaluator::new(&lib, &tech, &f.test, exact_context(&f)).with_mode(EvalMode::Rebuild);
     let (b, fresh_b) =
         rebuild_eval.evaluate_batch(&candidates, &mut EvalCache::new(), None).unwrap();
 
@@ -255,25 +271,90 @@ fn evaluator_modes_agree_bit_for_bit() {
     }
 }
 
-/// Satellite: grid evaluation propagates library gaps as `StudyError`
-/// instead of panicking mid-pool.
+/// The fixture's exact base circuit as the evaluator's one context.
+fn exact_context(f: &Fixture) -> Vec<EvalContext<'_>> {
+    vec![EvalContext {
+        coeff: CoeffGene::exact(),
+        netlist: &f.circuit.netlist,
+        model: &f.circuit.model,
+        analysis: f.analysis.clone(),
+    }]
+}
+
+/// The smallest fabric: runs every job on the submitting thread and
+/// counts what it was given.
+#[derive(Debug, Default)]
+struct InlineFabric {
+    jobs: AtomicUsize,
+}
+
+impl EvalFabric for InlineFabric {
+    fn submit(&self, job: FabricJob) -> Result<(), FabricError> {
+        self.jobs.fetch_add(1, Ordering::Relaxed);
+        job();
+        Ok(())
+    }
+}
+
+/// Grid evaluation propagates library gaps as `StudyError::Library` on
+/// every evaluator path — overlay, rebuild and fabric — instead of
+/// panicking mid-pool. The overlay cannot even profile the base
+/// circuit, so the fabric never receives a job.
 #[test]
 fn grid_evaluation_surfaces_library_errors() {
     let f = classifier_fixture(3);
     let empty = Library::new("empty", 1.0);
     let tech = TechParams::egt();
-    let grid = enumerate_grid(&f.analysis, &PruneConfig::default());
-    let err = try_evaluate_grid(
-        &f.circuit.netlist,
-        &f.circuit.model,
-        &f.test,
-        &empty,
-        &tech,
-        &f.analysis,
-        &grid,
-    )
-    .expect_err("empty library must fail, not panic");
-    assert!(matches!(err, StudyError::Library(_)), "got {err}");
+    let grid: Vec<Candidate> = enumerate_grid(&f.analysis, &PruneConfig::default())
+        .combos
+        .iter()
+        .map(|c| Candidate { coeff: CoeffGene::exact(), tau_c: c.tau_c, phi_c: c.phi_c })
+        .collect();
+    let fabric = Arc::new(InlineFabric::default());
+    let evaluators = [
+        Evaluator::new(&empty, &tech, &f.test, exact_context(&f)),
+        Evaluator::new(&empty, &tech, &f.test, exact_context(&f)).with_mode(EvalMode::Rebuild),
+        Evaluator::new(&empty, &tech, &f.test, exact_context(&f)).with_fabric(fabric.clone()),
+    ];
+    for evaluator in &evaluators {
+        let err = evaluator
+            .evaluate_batch(&grid, &mut EvalCache::new(), None)
+            .expect_err("empty library must fail, not panic");
+        assert!(matches!(err, StudyError::Library(_)), "{:?}: got {err}", evaluator.mode());
+    }
+    assert_eq!(fabric.jobs.load(Ordering::Relaxed), 0, "no job ships for a failed context");
+}
+
+/// Every fresh evaluation lands in the per-phase call counts and the
+/// fold counters exactly once, whether it ran on the local pool (delta
+/// sessions) or as a fabric job (fresh folds): the evaluator merges
+/// one overlay per context, never two.
+#[test]
+fn telemetry_counts_each_evaluation_once() {
+    let f = classifier_fixture(4);
+    let lib = egt_pdk::egt_library();
+    let tech = TechParams::egt();
+    let fabric = Arc::new(InlineFabric::default());
+    let local = Evaluator::new(&lib, &tech, &f.test, exact_context(&f));
+    let shipped =
+        Evaluator::new(&lib, &tech, &f.test, exact_context(&f)).with_fabric(fabric.clone());
+    for evaluator in [&local, &shipped] {
+        let stats = Engine::new(evaluator, &PruneConfig::default())
+            .run(&mut ExhaustiveGrid::new())
+            .expect("grid over the EGT library")
+            .stats;
+        let evaluated = stats.evaluated as u64;
+        assert!(evaluated > 1, "the grid should need several evaluations");
+        for phase in ["fold", "masked-sim", "score", "re-time"] {
+            let calls = stats.telemetry.phases.get(phase).expect("evaluation phase").calls;
+            assert_eq!(calls, evaluated, "{:?}: {phase} calls", evaluator.mode());
+        }
+        let delta = stats.telemetry.delta;
+        assert_eq!(delta.delta_folds + delta.full_folds, evaluated, "{:?}", evaluator.mode());
+        if evaluator.mode() == EvalMode::Fabric {
+            assert_eq!(fabric.jobs.load(Ordering::Relaxed) as u64, evaluated, "one job each");
+        }
+    }
 }
 
 /// A training-set-carrying fixture for the coefficient-axis

@@ -50,14 +50,26 @@ pub fn to_text(nl: &Netlist) -> String {
     out
 }
 
+/// Widest input port the format accepts: [`Node::Input`] addresses a
+/// bit with a `u16`.
+const MAX_PORT_WIDTH: usize = 1 << 16;
+
 /// Parses a netlist from the text format and validates it.
+///
+/// The text may come from outside the process, so declared port widths
+/// are bounded before anything is allocated: no port is wider than
+/// 65,536 bits, and the ports together declare no more bits than the
+/// text has lines (each bit needs its own `node … in` line).
 ///
 /// # Errors
 ///
-/// Returns a descriptive message for syntactic problems and the
+/// Returns a descriptive message for syntactic problems, for oversized
+/// or unbound input ports, and the
 /// [`validate`](crate::validate::validate) error text for structural
 /// ones.
 pub fn from_text(text: &str) -> Result<Netlist, String> {
+    let max_input_bits = text.lines().count();
+    let mut input_bits = 0usize;
     let mut lines = text.lines().enumerate();
     let (_, header) = lines.next().ok_or("empty input")?;
     let name = header
@@ -87,6 +99,18 @@ pub fn from_text(text: &str) -> Result<Netlist, String> {
                     .next()
                     .and_then(|t| t.parse().ok())
                     .ok_or(format!("line {line_no}: bad width"))?;
+                if width > MAX_PORT_WIDTH {
+                    return Err(format!(
+                        "line {line_no}: width {width} exceeds the {MAX_PORT_WIDTH}-bit limit"
+                    ));
+                }
+                input_bits += width;
+                if input_bits > max_input_bits {
+                    return Err(format!(
+                        "line {line_no}: {input_bits} declared input bits exceed the \
+                         {max_input_bits} lines that could bind them"
+                    ));
+                }
                 input_ports
                     .push(Port { name: pname.to_owned(), bits: vec![NetId::from_index(0); width] });
             }
@@ -162,6 +186,22 @@ pub fn from_text(text: &str) -> Result<Netlist, String> {
     if !ended {
         return Err("missing `end`".into());
     }
+    // Every declared bit must be bound by its own `node … in` line;
+    // an unbound one would silently alias net 0.
+    for (p, port) in input_ports.iter().enumerate() {
+        for (b, net) in port.bits.iter().enumerate() {
+            let bound = matches!(
+                nodes.get(net.index()),
+                Some(&Node::Input { port: q, bit }) if usize::from(q) == p && usize::from(bit) == b
+            );
+            if !bound {
+                return Err(format!(
+                    "input `{}` bit {b} is not bound by a `node … in` line",
+                    port.name
+                ));
+            }
+        }
+    }
     let nl = Netlist { name, nodes, input_ports, output_ports };
     crate::validate::validate(&nl).map_err(|e| e.to_string())?;
     Ok(nl)
@@ -216,6 +256,34 @@ mod tests {
         // Arity violation.
         let arity = text.replace("node 5 AND2 0 4", "node 5 AND2 0");
         assert!(from_text(&arity).is_err());
+    }
+
+    #[test]
+    fn overflowing_width_is_rejected() {
+        // Used to panic with `capacity_overflow` in `vec![…; width]`.
+        let err = from_text("paxnl v1 t\ninput a 4000000000000000000\nend\n").unwrap_err();
+        assert!(err.contains("limit"), "{err}");
+    }
+
+    #[test]
+    fn widths_beyond_the_text_are_rejected() {
+        // Used to allocate ~4 GB of port bits for a one-line port.
+        let err = from_text("paxnl v1 t\ninput a 1000000000\nend\n").unwrap_err();
+        assert!(err.contains("limit"), "{err}");
+        // Within the per-port limit, but more bits than lines to bind
+        // them.
+        let err = from_text("paxnl v1 t\ninput a 60000\nend\n").unwrap_err();
+        assert!(err.contains("declared input bits"), "{err}");
+    }
+
+    #[test]
+    fn unbound_input_bits_are_rejected() {
+        // Bit 1 is declared but never bound: it used to alias net 0.
+        let text = "paxnl v1 t\ninput a 2\nnode 0 in 0 0\noutput y 0\nend\n";
+        let err = from_text(text).unwrap_err();
+        assert!(err.contains("bit 1 is not bound"), "{err}");
+        let bound = "paxnl v1 t\ninput a 2\nnode 0 in 0 0\nnode 1 in 0 1\noutput y 0 1\nend\n";
+        assert!(from_text(bound).is_ok());
     }
 
     #[test]

@@ -12,7 +12,7 @@ use pax_core::explore::{
     ParetoArchive,
 };
 use pax_core::framework::{Framework, FrameworkConfig, SearchConfig};
-use pax_core::prune::{analyze, enumerate_grid, evaluate_grid};
+use pax_core::prune::{analyze, enumerate_grid, try_evaluate_set_rebuild};
 use pax_core::{DesignPoint, StudyError, Technique};
 use pax_ml::quant::{QuantSpec, QuantizedModel};
 use pax_ml::synth_data::blobs;
@@ -30,8 +30,10 @@ fn model_and_data(seed: u64) -> (QuantizedModel, Dataset, Dataset) {
     (QuantizedModel::from_linear_classifier("ex", &m, QuantSpec::default()), train, test)
 }
 
-/// The pre-refactor pruning flow, reconstructed from the still-public
-/// grid APIs: analyze → enumerate_grid → evaluate_grid → points.
+/// The pre-engine pruning flow, reconstructed from the public grid
+/// APIs with the strongest oracle: analyze → enumerate_grid → every
+/// distinct set rebuilt and measured (`try_evaluate_set_rebuild`) →
+/// points.
 fn legacy_prune_series(
     fw: &Framework,
     model: &QuantizedModel,
@@ -45,15 +47,22 @@ fn legacy_prune_series(
     };
     let analysis = analyze(&circuit.netlist, model, train);
     let grid = enumerate_grid(&analysis, &fw.config().prune);
-    let evals = evaluate_grid(
-        &circuit.netlist,
-        model,
-        test,
-        fw.library(),
-        &fw.config().tech,
-        &analysis,
-        &grid,
-    );
+    let evals: Vec<_> = grid
+        .sets
+        .iter()
+        .map(|set| {
+            try_evaluate_set_rebuild(
+                &circuit.netlist,
+                model,
+                test,
+                fw.library(),
+                &fw.config().tech,
+                &analysis,
+                set,
+            )
+            .unwrap()
+        })
+        .collect();
     grid.combos
         .iter()
         .map(|combo| {
