@@ -149,7 +149,6 @@ fn bench(c: &mut Criterion) {
         (0..STUDY_SAMPLES).map(|i| rows[i % rows.len()].clone()).collect();
     let study_stim = stimulus_for_rows(&model, &study_rows);
     let compiled = CompiledNetlist::compile(&netlist);
-    let compiled_seq = compiled.clone().with_threads(1);
     // Bit-identity self-check before any number is recorded: the fused
     // tape (`run`), the unfused activity-tracked tape
     // (`run_with_activity`) and the interpreter must agree on every
@@ -183,12 +182,6 @@ fn bench(c: &mut Criterion) {
     let compiled_act_s = time_it(
         || {
             black_box(compiled.run_with_activity(&study_stim).unwrap());
-        },
-        reps,
-    );
-    let compiled_seq_s = time_it(
-        || {
-            black_box(compiled_seq.run(&study_stim).unwrap());
         },
         reps,
     );
@@ -229,7 +222,6 @@ fn bench(c: &mut Criterion) {
     println!("# {:<34} {:>14.0} {:>11.1}x", "simulate (interpreted, activity)", interp_rate, 1.0);
     for (label, secs) in [
         ("compiled + activity", compiled_act_s),
-        ("compiled, no activity, 1 thread", compiled_seq_s),
         ("compiled, no activity", compiled_s),
         ("fused pre-packed, 64-lane words", fused_narrow_s),
         ("fused pre-packed, 256-lane words", fused_wide_s),
@@ -245,18 +237,6 @@ fn bench(c: &mut Criterion) {
         "# fused 256-lane vs 64-lane pre-packed execution: {:.1}x",
         fused_narrow_s / fused_wide_s
     );
-    // Regression guard for the auto-thread planner: a study-sized
-    // stimulus (64 u64 words on this netlist) is far below the
-    // per-chunk work floor, so auto-threading must stay sequential —
-    // BENCH_compiled_eval.json previously showed the threaded plan
-    // losing to the pinned 1-thread run on exactly this shape.
-    let study_words = STUDY_SAMPLES.div_ceil(64);
-    assert_eq!(
-        compiled.planned_threads(study_words),
-        1,
-        "study-sized workloads must plan a single thread"
-    );
-
     // --- Criterion-tracked benchmarks --------------------------------
     for &batch in &BATCH_SIZES {
         let chunks: Vec<Vec<Vec<i64>>> = rows.chunks(batch).map(<[_]>::to_vec).collect();

@@ -151,12 +151,9 @@ pub fn all_entries(cfg: &SynthConfig) -> Vec<Entry> {
     let kinds = [ModelKind::MlpC, ModelKind::MlpR, ModelKind::SvmC, ModelKind::SvmR];
     let pairs: Vec<(DatasetId, ModelKind)> =
         DatasetId::all().into_iter().flat_map(|d| kinds.into_iter().map(move |k| (d, k))).collect();
-    // Train in parallel: entries are completely independent.
-    std::thread::scope(|s| {
-        let handles: Vec<_> =
-            pairs.iter().map(|&(d, k)| s.spawn(move || train_entry(d, k, cfg))).collect();
-        handles.into_iter().map(|h| h.join().expect("training thread")).collect()
-    })
+    // Train in parallel, one worker per entry: entries are completely
+    // independent.
+    pax_core::par::map(&pairs, pairs.len(), 1, |&(d, k)| train_entry(d, k, cfg))
 }
 
 /// The 14 hardware-feasible entries (Table I minus the Pendigits

@@ -123,8 +123,9 @@ pub fn run_entry(entry: &Entry, budget_fraction: f64, seed: u64) -> ExploreRow {
     let base_nl = pax_synth::opt::optimize(&BespokeCircuit::generate(model).netlist);
     let approx_nl = pax_synth::opt::optimize(&BespokeCircuit::generate(&approx).netlist);
     let fixed = vec![
-        fw.measure(&base_nl, model, test, Technique::Exact),
-        fw.measure(&approx_nl, &approx, test, Technique::CoeffApprox),
+        fw.try_measure(&base_nl, model, test, Technique::Exact).expect("catalog circuit measures"),
+        fw.try_measure(&approx_nl, &approx, test, Technique::CoeffApprox)
+            .expect("catalog circuit measures"),
     ];
     // Analyses are deterministic, so compute them once and clone into
     // each strategy's contexts — the per-strategy isolation that keeps

@@ -32,33 +32,9 @@ pub fn run(cache: &MultCache, n: usize, seed: u64) -> ProxyResult {
         })
         .collect();
 
-    let threads = std::thread::available_parallelism().map_or(4, |t| t.get()).min(16);
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let indexed: Vec<(usize, (f64, f64))> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let next = &next;
-                let specs = &specs;
-                s.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= specs.len() {
-                            break;
-                        }
-                        let (in_bits, weights) = &specs[i];
-                        local.push((i, measure(cache, *in_bits, weights)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles.into_iter().flat_map(|h| h.join().expect("proxy thread")).collect()
+    let points = pax_core::par::map(&specs, pax_core::par::workers(), 1, |(in_bits, weights)| {
+        measure(cache, *in_bits, weights)
     });
-    let mut points = vec![(0.0, 0.0); n];
-    for (i, p) in indexed {
-        points[i] = p;
-    }
     ProxyResult { pearson_r: pearson(&points), points }
 }
 

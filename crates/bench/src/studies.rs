@@ -21,7 +21,7 @@ pub struct StudyRun {
 pub fn run_one(entry: Entry) -> StudyRun {
     let cfg = FrameworkConfig { tech: tech_for(entry.dataset, entry.kind), ..Default::default() };
     let fw = Framework::new(cfg);
-    let study = fw.run_study(&entry.model, &entry.train, &entry.test);
+    let study = fw.try_run_study(&entry.model, &entry.train, &entry.test).expect("catalog study");
     StudyRun { entry, study }
 }
 

@@ -59,7 +59,9 @@ pub fn row_for(entry: &Entry) -> Table1Row {
         let fw = Framework::new(FrameworkConfig { tech, ..Default::default() });
         let circuit = pax_bespoke::BespokeCircuit::generate(&entry.model);
         let nl = opt::optimize(&circuit.netlist);
-        let p = fw.measure(&nl, &entry.model, &entry.test, Technique::Exact);
+        let p = fw
+            .try_measure(&nl, &entry.model, &entry.test, Technique::Exact)
+            .expect("catalog circuit measures");
         (Some(p.area_cm2()), Some(p.power_mw), Some(p.critical_ms))
     } else {
         (None, None, None)

@@ -69,7 +69,7 @@ fn columns_to_stimulus(columns: Vec<Vec<u64>>) -> Stimulus {
 ///
 /// Compiles the netlist and runs the tape once; to evaluate one netlist
 /// on several datasets (or across batches), compile it yourself and use
-/// [`evaluate_compiled`].
+/// [`try_evaluate_compiled`].
 ///
 /// Classifiers read the `class` port; regressors dequantize the `score0`
 /// bus and round to the nearest class, exactly as the paper evaluates
@@ -77,30 +77,18 @@ fn columns_to_stimulus(columns: Vec<Vec<u64>>) -> Stimulus {
 ///
 /// # Panics
 ///
-/// Panics if the netlist lacks the expected ports.
+/// Panics if the netlist lacks the expected ports or the dataset does
+/// not match the model.
 pub fn evaluate(netlist: &Netlist, model: &QuantizedModel, data: &Dataset) -> EvalOutcome {
-    evaluate_compiled(&CompiledNetlist::compile(netlist), model, data)
+    try_evaluate_compiled(&CompiledNetlist::compile(netlist), model, data)
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// [`evaluate`] over an already-compiled netlist — the
+/// [`evaluate`] over an already-compiled netlist, surfacing malformed
+/// stimuli as [`SimError`] instead of panicking — the
 /// compile-once/execute-many path study drivers use when one design
-/// point is simulated on several stimuli.
-///
-/// # Panics
-///
-/// Panics if the compiled circuit lacks the expected ports or the
-/// dataset does not match the model.
-pub fn evaluate_compiled(
-    compiled: &CompiledNetlist,
-    model: &QuantizedModel,
-    data: &Dataset,
-) -> EvalOutcome {
-    try_evaluate_compiled(compiled, model, data).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`evaluate_compiled`] surfacing malformed stimuli as [`SimError`]
-/// instead of panicking — the error-propagating study path
-/// (`pax_core::Framework::try_run_study`) builds on this.
+/// point is simulated on several stimuli; the error-propagating study
+/// path (`pax_core::Framework::try_run_study`) builds on this.
 ///
 /// # Panics
 ///
@@ -121,7 +109,7 @@ pub fn try_evaluate_compiled(
 /// Scores already-captured simulation outputs against the dataset
 /// labels: `(accuracy, per-sample predicted class)`.
 ///
-/// This is the decoding half of [`evaluate_compiled`], shared with
+/// This is the decoding half of [`try_evaluate_compiled`], shared with
 /// evaluation paths that obtain their [`SimOutputs`] differently — the
 /// overlay-based pruning evaluator scores a *masked* run of the shared
 /// base tape through this exact function, which is what keeps its

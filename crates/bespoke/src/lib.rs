@@ -60,6 +60,5 @@ mod harness;
 
 pub use build::BespokeCircuit;
 pub use harness::{
-    evaluate, evaluate_compiled, score_outputs, stimulus_for, stimulus_for_rows,
-    try_evaluate_compiled, EvalOutcome,
+    evaluate, score_outputs, stimulus_for, stimulus_for_rows, try_evaluate_compiled, EvalOutcome,
 };

@@ -239,7 +239,7 @@ mod tests {
         let m = train_svm_classifier(&train, &SvmParams { epochs: 40, ..Default::default() }, 3);
         let q = QuantizedModel::from_linear_classifier("art", &m, QuantSpec::default());
         let fw = Framework::new(FrameworkConfig::default());
-        let study = fw.run_study(&q, &train, &test);
+        let study = fw.try_run_study(&q, &train, &test).expect("study");
         let point = study.best_within_loss(Technique::Cross, 0.02);
         (fw.export_artifact(&q, &train, &point), test)
     }
@@ -287,6 +287,19 @@ mod tests {
         let truncated = &text[..text.len() - 5];
         assert!(Artifact::from_text(truncated).is_err(), "missing end must fail");
         assert!(Artifact::from_text(&text.replacen("point cross-layer", "point alien", 1)).is_err());
+    }
+
+    #[test]
+    fn hostile_model_sections_are_errors_not_aborts() {
+        let (art, _) = exported();
+        let text = art.to_text();
+        // A layer header claiming a trillion rows used to abort the
+        // process on the row allocation.
+        let header = text.lines().find(|l| l.starts_with("layer1 ")).expect("layer1 header");
+        let cols = header.rsplit(' ').next().expect("column count");
+        let hostile = text.replacen(header, &format!("layer1 1000000000000 {cols}"), 1);
+        let err = Artifact::from_text(&hostile).expect_err("row count beyond the text");
+        assert!(err.contains("embedded model"), "{err}");
     }
 
     #[test]

@@ -17,17 +17,15 @@
 //! table:
 //!
 //! * **local** ([`EvalMode::Overlay`]): fresh work is sorted along the
-//!   gate-set lattice and scoped workers steal contiguous chunks of it,
-//!   each worker evaluating through rolling [`DeltaSession`]s. The
-//!   [`EvalMode::Rebuild`] oracle runs on the same pool, one item at a
-//!   time;
+//!   gate-set lattice and the [`par`](crate::par) pool's workers take
+//!   contiguous runs of it, each worker evaluating through rolling
+//!   [`DeltaSession`]s. The [`EvalMode::Rebuild`] oracle runs on the
+//!   same pool, one item at a time;
 //! * **fabric** ([`EvalMode::Fabric`]): each fresh candidate ships to
 //!   the attached [`EvalFabric`] as one job that folds from scratch
 //!   ([`OverlayContext::evaluate`]) on a clone of the context's `Arc`.
 
 use std::collections::HashMap;
-use std::sync::atomic::Ordering::Relaxed;
-use std::sync::atomic::{AtomicBool, AtomicUsize};
 use std::sync::{Arc, OnceLock};
 
 use egt_pdk::{Library, TechParams};
@@ -42,6 +40,7 @@ use super::{Candidate, CoeffGene, ContextSpace, SearchSpace, MAX_COEFF_LAYERS};
 use crate::coeff_approx::{approximate_model_layers, CoeffApproxConfig};
 use crate::error::StudyError;
 use crate::mult_cache::MultCache;
+use crate::par;
 use crate::prune::{
     phase, DeltaFoldStats, DeltaSession, OverlayContext, PruneAnalysis, PruneConfig, PruneEval,
     EVAL_PHASES,
@@ -61,8 +60,8 @@ use crate::{DesignPoint, Technique};
 /// sampled fronts.
 ///
 /// [`EvalMode::Fabric`] is overlay evaluation *routed through an
-/// external worker pool* ([`EvalFabric`]) instead of the evaluator's
-/// private scoped threads: each fresh candidate ships as one job that
+/// external worker pool* ([`EvalFabric`]) instead of the in-process
+/// [`par`](crate::par) pool: each fresh candidate ships as one job that
 /// holds an `Arc` of its context's shared overlay — the same one the
 /// local workers read — to, in production, the `pax-serve` engine,
 /// which multiplexes it with live inference traffic under per-study
@@ -175,8 +174,8 @@ impl ContextSlot {
 /// Concurrency contract: the cache is only ever touched by the thread
 /// driving [`Evaluator::evaluate_batch`] (it is `&mut` there). Workers
 /// — the in-process pool and fabric jobs alike — never see it; they
-/// return evaluations over a channel and the driving thread inserts
-/// them. Hit/len accounting is therefore free of lost updates by
+/// hand evaluations back to the driving thread, which inserts them.
+/// Hit/len accounting is therefore free of lost updates by
 /// construction: duplicate keys inside one batch are collapsed *before*
 /// any parallel work starts (`fresh` holds each key once), so two
 /// workers can never race an insert of the same content hash, and
@@ -287,7 +286,6 @@ impl<'a> Evaluator<'a> {
                 ContextSlot { base: OnceLock::from(base), ..ContextSlot::new(c.coeff) }
             })
             .collect();
-        let threads = std::thread::available_parallelism().map_or(4, |t| t.get()).min(16);
         Self {
             lib,
             tech,
@@ -296,7 +294,7 @@ impl<'a> Evaluator<'a> {
             axis: None,
             fabric: None,
             mode: EvalMode::default(),
-            threads,
+            threads: par::workers(),
             phases: Phases::new(EVAL_PHASES),
         }
     }
@@ -422,10 +420,10 @@ impl<'a> Evaluator<'a> {
 
     /// Attaches an external worker pool and switches to
     /// [`EvalMode::Fabric`]: every fresh evaluation ships to `fabric`
-    /// as one job instead of running on the evaluator's private scoped
-    /// threads. In production the fabric is a `pax-serve` tenant
-    /// handle, which multiplexes study evaluations with live inference
-    /// traffic under that study's queue, budget and metrics.
+    /// as one job instead of running on the in-process [`par`] pool.
+    /// In production the fabric is a `pax-serve` tenant handle, which
+    /// multiplexes study evaluations with live inference traffic under
+    /// that study's queue, budget and metrics.
     #[must_use]
     pub fn with_fabric(mut self, fabric: Arc<dyn EvalFabric>) -> Self {
         self.fabric = Some(fabric);
@@ -567,53 +565,32 @@ impl<'a> Evaluator<'a> {
     fn resolve_sets(&self, batch: &[Candidate]) -> Result<Vec<ResolvedSet>, StudyError> {
         /// Below this batch size thread spawns cost more than they save.
         const MIN_PARALLEL_BATCH: usize = 64;
-        if batch.len() < MIN_PARALLEL_BATCH || self.threads <= 1 {
-            return batch
-                .iter()
-                .map(|c| Ok((self.context_index(c.coeff)?, self.gate_set(c)?)))
-                .collect();
-        }
-        let threads = self.threads.min(batch.len());
-        let per = batch.len().div_ceil(threads);
-        let chunks: Vec<Result<Vec<ResolvedSet>, StudyError>> = std::thread::scope(|s| {
-            let handles: Vec<_> = batch
-                .chunks(per)
-                .map(|chunk| {
-                    s.spawn(move || {
-                        chunk
-                            .iter()
-                            .map(|c| Ok((self.context_index(c.coeff)?, self.gate_set(c)?)))
-                            .collect()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("resolver worker")).collect()
-        });
-        let mut resolved = Vec::with_capacity(batch.len());
-        for chunk in chunks {
-            resolved.extend(chunk?);
-        }
-        Ok(resolved)
+        let threads = if batch.len() < MIN_PARALLEL_BATCH { 1 } else { self.threads };
+        par::try_map(
+            batch,
+            threads,
+            batch.len().div_ceil(threads),
+            || (),
+            |(), c| Ok((self.context_index(c.coeff)?, self.gate_set(c)?)),
+        )
     }
 
-    /// Runs the fresh evaluations on the evaluator's own scoped worker
-    /// pool, stealing work from a shared counter (set sizes, and thus
-    /// costs, vary wildly, so static chunking would leave threads
-    /// idle). In overlay mode the work is first sorted along the
-    /// gate-set lattice — by context, then lexicographically by sorted
-    /// gate set: the order a DFS of the set prefix trie visits, so
-    /// adjacent items share long substitution prefixes — and stolen in
-    /// small contiguous chunks that each worker evaluates through a
-    /// rolling [`DeltaSession`]. In rebuild mode workers steal single
-    /// items and run the legacy pipeline. Results are keyed, so the
-    /// reordering cannot change the assembled batch.
+    /// Runs the fresh evaluations on the [`par`] pool, whose workers
+    /// take runs from a shared counter (set sizes, and thus costs, vary
+    /// wildly, so static chunking would leave threads idle). In overlay
+    /// mode the work is first sorted along the gate-set lattice — by
+    /// context, then lexicographically by sorted gate set: the order a
+    /// DFS of the set prefix trie visits, so adjacent items share long
+    /// substitution prefixes — and taken in small contiguous runs that
+    /// each worker evaluates through a rolling [`DeltaSession`]. In
+    /// rebuild mode workers take single items and run the legacy
+    /// pipeline. Results are keyed, so the reordering cannot change the
+    /// assembled batch, and the first error stops the pool before it
+    /// drains the remaining (expensive) evaluations.
     fn run_local(&self, fresh: &[Fresh]) -> Result<Vec<(u64, PruneEval)>, StudyError> {
-        if fresh.is_empty() {
-            return Ok(Vec::new());
-        }
         let mut order: Vec<usize> = (0..fresh.len()).collect();
         // Rebuilds share nothing between neighbours, so they keep
-        // batch order and single-item stealing, which balances their
+        // batch order and single-item runs, which balance their
         // costlier, uneven work best.
         let chunk = if self.mode == EvalMode::Rebuild {
             1
@@ -621,66 +598,32 @@ impl<'a> Evaluator<'a> {
             order.sort_unstable_by(|&x, &y| {
                 (fresh[x].1, &fresh[x].2).cmp(&(fresh[y].1, &fresh[y].2))
             });
-            // Contiguous chunks big enough that a session amortizes
+            // Contiguous runs big enough that a session amortizes
             // across lattice neighbours, small enough that the pool
             // stays balanced on modest batches.
             (fresh.len() / (self.threads * 4)).clamp(1, 32)
         };
-        let n_chunks = order.len().div_ceil(chunk);
-        let next = AtomicUsize::new(0);
-        // First error aborts the whole batch: without the shared flag,
-        // the other workers would drain every remaining (expensive)
-        // evaluation before the error could propagate.
-        let abort = AtomicBool::new(false);
-        let threads = self.threads.min(n_chunks);
-        let (tx, rx) = std::sync::mpsc::channel::<Result<(u64, PruneEval), StudyError>>();
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                let (next, abort, order, tx) = (&next, &abort, &order, tx.clone());
-                s.spawn(move || {
-                    // context → rolling session, most recent first.
-                    let mut sessions: Vec<(usize, DeltaSession)> = Vec::new();
-                    'steal: loop {
-                        let c = next.fetch_add(1, Relaxed);
-                        if c >= n_chunks || abort.load(Relaxed) {
-                            break;
-                        }
-                        for &i in &order[c * chunk..((c + 1) * chunk).min(order.len())] {
-                            if abort.load(Relaxed) {
-                                break 'steal;
-                            }
-                            let (key, ctx_idx, set) = &fresh[i];
-                            let r = if self.mode == EvalMode::Rebuild {
-                                let b = self.base(*ctx_idx);
-                                crate::prune::try_evaluate_set_rebuild(
-                                    &b.netlist,
-                                    &b.model,
-                                    &self.test,
-                                    self.lib,
-                                    self.tech,
-                                    &b.analysis,
-                                    set,
-                                )
-                            } else {
-                                self.shared(*ctx_idx).and_then(|s| {
-                                    let session = session_for(&mut sessions, *ctx_idx, &s.overlay);
-                                    s.overlay.evaluate_with_session(&s.analysis, set, session)
-                                })
-                            };
-                            let stop = r.is_err();
-                            if stop {
-                                abort.store(true, Relaxed);
-                            }
-                            tx.send(r.map(|e| (*key, e))).expect("receiver outlives workers");
-                            if stop {
-                                break 'steal;
-                            }
-                        }
-                    }
-                });
-            }
-            drop(tx);
-            rx.iter().collect()
+        // Per worker: context → rolling session, most recent first.
+        par::try_map(&order, self.threads, chunk, Vec::new, |sessions, &i| {
+            let (key, ctx_idx, set) = &fresh[i];
+            let eval = if self.mode == EvalMode::Rebuild {
+                let b = self.base(*ctx_idx);
+                crate::prune::try_evaluate_set_rebuild(
+                    &b.netlist,
+                    &b.model,
+                    &self.test,
+                    self.lib,
+                    self.tech,
+                    &b.analysis,
+                    set,
+                )
+            } else {
+                self.shared(*ctx_idx).and_then(|s| {
+                    let session = session_for(sessions, *ctx_idx, &s.overlay);
+                    s.overlay.evaluate_with_session(&s.analysis, set, session)
+                })
+            }?;
+            Ok((*key, eval))
         })
     }
 

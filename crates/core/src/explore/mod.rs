@@ -31,7 +31,7 @@
 //!   exact hypervolume (sorted sweep in 2-D, WFG slicing in N-D);
 //! * [`Engine`] — the driver loop: ask → evaluate → archive → tell.
 //!
-//! [`Framework::run_study`](crate::framework::Framework::run_study)
+//! [`Framework::try_run_study`](crate::framework::Framework::try_run_study)
 //! runs on this engine; strategy selection lives in
 //! [`FrameworkConfig::search`](crate::framework::FrameworkConfig) and
 //! per-strategy statistics surface in

@@ -1,6 +1,6 @@
 //! The end-to-end cross-layer approximation framework.
 //!
-//! [`Framework::run_study`] executes the paper's full flow for one
+//! [`Framework::try_run_study`] executes the paper's full flow for one
 //! trained, quantized model:
 //!
 //! 1. generate + optimize the **exact bespoke baseline** (black
@@ -20,8 +20,8 @@
 //! selects the strategy (exhaustive grid by default, evolutionary
 //! NSGA-II via [`SearchConfig::nsga2`]) and the [`ObjectiveSet`] the
 //! exploration optimizes (accuracy × area by default, any subset of accuracy /
-//! area / power / delay), and [`Framework::run_study_with`] overrides
-//! both per study.
+//! area / power / delay), and [`Framework::try_run_study_with`]
+//! overrides both per study.
 
 use std::time::Instant;
 
@@ -287,25 +287,12 @@ impl Framework {
     /// Measures one circuit: test-set accuracy (and its switching
     /// activity), area, power, timing. Compiles the netlist for the one
     /// simulation; when the same circuit is measured *and* analyzed for
-    /// pruning, [`Framework::measure_compiled`] shares one tape.
+    /// pruning, [`Framework::try_measure_compiled`] shares one tape.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when the library does not cover the netlist or the
-    /// dataset does not match the model — [`Framework::try_measure`]
-    /// surfaces those as [`StudyError`] instead.
-    pub fn measure(
-        &self,
-        netlist: &pax_netlist::Netlist,
-        model: &QuantizedModel,
-        test: &Dataset,
-        technique: Technique,
-    ) -> DesignPoint {
-        self.try_measure(netlist, model, test, technique).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`Framework::measure`] surfacing library/simulation problems as
-    /// [`StudyError`] instead of panicking.
+    /// Returns [`StudyError`] when the library does not cover the
+    /// netlist or the stimulus cannot be simulated.
     pub fn try_measure(
         &self,
         netlist: &pax_netlist::Netlist,
@@ -322,28 +309,13 @@ impl Framework {
         )
     }
 
-    /// [`Framework::measure`] over an already-compiled netlist: the
+    /// [`Framework::try_measure`] over an already-compiled netlist: the
     /// study flow compiles each design point once and reuses the tape
     /// across every simulation of that point.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// See [`Framework::measure`];
-    /// [`Framework::try_measure_compiled`] is the fallible variant.
-    pub fn measure_compiled(
-        &self,
-        compiled: &CompiledNetlist,
-        netlist: &pax_netlist::Netlist,
-        model: &QuantizedModel,
-        test: &Dataset,
-        technique: Technique,
-    ) -> DesignPoint {
-        self.try_measure_compiled(compiled, netlist, model, test, technique)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`Framework::measure_compiled`] surfacing library/simulation
-    /// problems as [`StudyError`] instead of panicking.
+    /// See [`Framework::try_measure`].
     pub fn try_measure_compiled(
         &self,
         compiled: &CompiledNetlist,
@@ -377,22 +349,10 @@ impl Framework {
     /// set for the SAIF dump) while `test` drives every accuracy and
     /// power figure.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when the library does not cover a synthesized circuit or
-    /// the datasets do not match the model —
-    /// [`Framework::try_run_study`] surfaces those as [`StudyError`].
-    pub fn run_study(
-        &self,
-        model: &QuantizedModel,
-        train: &Dataset,
-        test: &Dataset,
-    ) -> CircuitStudy {
-        self.try_run_study(model, train, test).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`Framework::run_study`] surfacing errors as [`StudyError`]
-    /// instead of panicking.
+    /// Returns [`StudyError`] when the library does not cover a
+    /// synthesized circuit or a stimulus cannot be simulated.
     pub fn try_run_study(
         &self,
         model: &QuantizedModel,
@@ -402,25 +362,14 @@ impl Framework {
         self.try_run_study_with(model, train, test, &self.cfg.search)
     }
 
-    /// [`Framework::run_study`] under an explicit search strategy,
+    /// [`Framework::try_run_study`] under an explicit search strategy,
     /// overriding [`FrameworkConfig::search`] — grid and evolutionary
     /// explorations of one model without rebuilding the framework.
+    /// Every study entry point funnels here.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// See [`Framework::run_study`].
-    pub fn run_study_with(
-        &self,
-        model: &QuantizedModel,
-        train: &Dataset,
-        test: &Dataset,
-        search: &SearchConfig,
-    ) -> CircuitStudy {
-        self.try_run_study_with(model, train, test, search).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`Framework::run_study_with`] surfacing errors as [`StudyError`]
-    /// instead of panicking. Every study entry point funnels here.
+    /// See [`Framework::try_run_study`].
     pub fn try_run_study_with(
         &self,
         model: &QuantizedModel,
@@ -743,7 +692,7 @@ mod tests {
         let (train, test) = pax_ml::normalize(&train, &test);
         let m = train_svm_classifier(&train, &SvmParams { epochs: 50, ..Default::default() }, 3);
         let q = QuantizedModel::from_linear_classifier("fw", &m, QuantSpec::default());
-        Framework::new(FrameworkConfig::default()).run_study(&q, &train, &test)
+        Framework::new(FrameworkConfig::default()).try_run_study(&q, &train, &test).expect("study")
     }
 
     #[test]
@@ -793,7 +742,7 @@ mod tests {
         let m = train_svm_classifier(&train, &SvmParams { epochs: 40, ..Default::default() }, 3);
         let q = QuantizedModel::from_linear_classifier("mt", &m, QuantSpec::default());
         let fw = Framework::new(FrameworkConfig::default());
-        let study = fw.run_study(&q, &train, &test);
+        let study = fw.try_run_study(&q, &train, &test).expect("study");
         // Pick an interesting cross-layer point (max pruning).
         let point = study
             .cross
@@ -801,12 +750,12 @@ mod tests {
             .min_by(|a, b| a.area_mm2.partial_cmp(&b.area_mm2).unwrap())
             .expect("cross series non-empty");
         let nl = fw.materialize(&q, &train, point);
-        let re = fw.measure(&nl, &q, &test, point.technique);
+        let re = fw.try_measure(&nl, &q, &test, point.technique).expect("measure");
         assert!((re.area_mm2 - point.area_mm2).abs() < 1e-9, "area must reproduce");
         assert!((re.accuracy - point.accuracy).abs() < 1e-12, "accuracy must reproduce");
         // The baseline materializes to the measured baseline too.
         let base_nl = fw.materialize(&q, &train, &study.baseline);
-        let base_re = fw.measure(&base_nl, &q, &test, Technique::Exact);
+        let base_re = fw.try_measure(&base_nl, &q, &test, Technique::Exact).expect("measure");
         assert!((base_re.area_mm2 - study.baseline.area_mm2).abs() < 1e-9);
     }
 
@@ -818,7 +767,7 @@ mod tests {
         let m = train_svm_classifier(&train, &SvmParams { epochs: 40, ..Default::default() }, 3);
         let q = QuantizedModel::from_linear_classifier("ca", &m, QuantSpec::default());
         let fw = Framework::new(FrameworkConfig::default());
-        let study = fw.run_study(&q, &train, &test);
+        let study = fw.try_run_study(&q, &train, &test).expect("study");
         let point = study
             .prune_only
             .iter()
@@ -848,7 +797,7 @@ mod tests {
         let m = train_svm_classifier(&train, &SvmParams { epochs: 40, ..Default::default() }, 3);
         let q = QuantizedModel::from_linear_classifier("cb", &m, QuantSpec::default());
         let fw = Framework::new(FrameworkConfig::default());
-        let study = fw.run_study(&q, &train, &test);
+        let study = fw.try_run_study(&q, &train, &test).expect("study");
         let point = study.prune_only.iter().find(|p| p.tau_c.is_some()).unwrap().clone();
         // An analysis over a *different* (unoptimized) netlist must be
         // rejected instead of silently mis-pruning.
@@ -871,8 +820,8 @@ mod tests {
             seed: 33,
             ..Default::default()
         });
-        let a = fw.run_study_with(&q, &train, &test, &search);
-        let b = fw.run_study_with(&q, &train, &test, &search);
+        let a = fw.try_run_study_with(&q, &train, &test, &search).expect("study");
+        let b = fw.try_run_study_with(&q, &train, &test, &search).expect("study");
         // Same seed, same genomes, same designs — repeated-run equality.
         assert_eq!(a.prune_only, b.prune_only);
         assert_eq!(a.cross, b.cross);
@@ -894,7 +843,7 @@ mod tests {
         let q = QuantizedModel::from_linear_classifier("joint", &m, QuantSpec::default());
         let fw = Framework::new(FrameworkConfig::default());
         let search = SearchConfig::exhaustive().with_coeff_levels(vec![4]);
-        let s = fw.run_study_with(&q, &train, &test, &search);
+        let s = fw.try_run_study_with(&q, &train, &test, &search).expect("study");
         // One joint exploration produced both series, split by gene.
         assert_eq!(s.stats.search.len(), 1, "one joint exploration");
         assert_eq!(s.stats.prune_baseline_ms, 0, "joint wall-clock bills the cross bucket");
@@ -905,11 +854,11 @@ mod tests {
         // With one graded level equal to the configured `e`, the joint
         // cross series matches the legacy two-pass cross series point
         // for point (same base circuit, same sweep).
-        let legacy = fw.run_study(&q, &train, &test);
+        let legacy = fw.try_run_study(&q, &train, &test).expect("study");
         assert_eq!(s.cross, legacy.cross, "level-1 gene reproduces the two-pass cross sweep");
         assert_eq!(s.prune_only, legacy.prune_only, "exact gene reproduces the baseline sweep");
         // Determinism: the joint flow reproduces itself.
-        let again = fw.run_study_with(&q, &train, &test, &search);
+        let again = fw.try_run_study_with(&q, &train, &test, &search).expect("study");
         assert_eq!(s.cross, again.cross);
         assert_eq!(s.prune_only, again.prune_only);
     }
@@ -924,7 +873,7 @@ mod tests {
         let fw = Framework::new(FrameworkConfig::default());
         let search = SearchConfig::exhaustive()
             .with_objectives(crate::explore::ObjectiveSet::accuracy_area_power());
-        let s = fw.run_study_with(&q, &train, &test, &search);
+        let s = fw.try_run_study_with(&q, &train, &test, &search).expect("study");
         for stats in &s.stats.search {
             assert_eq!(stats.objectives, vec!["accuracy", "area_mm2", "power_mw"]);
             assert_eq!(stats.axes.len(), 3, "one AxisStats per enabled axis");
@@ -951,7 +900,7 @@ mod tests {
         let m = train_svm_classifier(&train, &SvmParams { epochs: 40, ..Default::default() }, 3);
         let q = QuantizedModel::from_linear_classifier("legacy", &m, QuantSpec::default());
         let fw = Framework::new(FrameworkConfig::default());
-        let study = fw.run_study(&q, &train, &test);
+        let study = fw.try_run_study(&q, &train, &test).expect("study");
 
         let circuit = {
             let c = BespokeCircuit::generate(&q);

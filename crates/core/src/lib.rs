@@ -51,9 +51,10 @@
 //! let q = QuantizedModel::from_linear_classifier("demo", &svc, QuantSpec::default());
 //!
 //! let fw = Framework::new(FrameworkConfig::default());
-//! let study = fw.run_study(&q, &train, &test);
+//! let study = fw.try_run_study(&q, &train, &test)?;
 //! assert!(study.coeff.area_mm2 <= study.baseline.area_mm2);
 //! assert!(!study.cross.is_empty());
+//! # Ok::<(), pax_core::StudyError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -66,6 +67,7 @@ mod error;
 pub mod explore;
 pub mod framework;
 pub mod mult_cache;
+pub mod par;
 pub mod pareto;
 pub mod prune;
 pub mod report;

@@ -59,24 +59,12 @@ impl MultCache {
         if missing.is_empty() {
             return;
         }
-        let threads = std::thread::available_parallelism().map_or(4, |n| n.get()).min(16);
-        let chunk = missing.len().div_ceil(threads);
-        let results: Vec<(i64, f64)> = std::thread::scope(|s| {
-            let handles: Vec<_> = missing
-                .chunks(chunk)
-                .map(|ws| {
-                    let lib = &self.lib;
-                    s.spawn(move || {
-                        ws.iter()
-                            .map(|&w| (w, synthesize_area(lib, in_bits, w)))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles.into_iter().flat_map(|h| h.join().expect("synthesis thread")).collect()
+        let threads = crate::par::workers();
+        let areas = crate::par::map(&missing, threads, missing.len().div_ceil(threads), |&w| {
+            synthesize_area(&self.lib, in_bits, w)
         });
         let mut map = self.map.write();
-        for (w, a) in results {
+        for (w, a) in missing.into_iter().zip(areas) {
             map.insert((in_bits, w), a);
         }
     }

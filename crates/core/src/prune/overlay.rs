@@ -254,10 +254,9 @@ impl OverlayContext {
         tech: &TechParams,
     ) -> Result<Self, StudyError> {
         let (base, model, test) = (base.into(), model.into(), test.into());
-        // Single-threaded tape by default: evaluation runs inside an
-        // already-saturated worker pool, so nested word-parallelism
-        // would only oversubscribe the cores.
-        let tape = CompiledNetlist::compile(&base).with_threads(1);
+        // The tape runs on the calling thread; the evaluator's `par`
+        // pool parallelizes across candidates.
+        let tape = CompiledNetlist::compile(&base);
         let packed = tape.pack(&stimulus_for(&model, &test))?;
         let trace = tape.trace(&packed);
         let base_arrival = pax_sta::analyze(&base, lib, tech)?.arrival_ms;
@@ -279,15 +278,6 @@ impl OverlayContext {
             full_folds: AtomicU64::new(0),
             delta_nets: AtomicU64::new(0),
         })
-    }
-
-    /// Re-pins the shared tape's worker-thread count (`0` = automatic).
-    /// Results are bit-identical regardless — the thread-invariance
-    /// property tests run the same candidates at several counts.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.tape = self.tape.with_threads(threads);
-        self
     }
 
     /// The base netlist this context evaluates prunings of.

@@ -154,10 +154,9 @@ pub fn try_evaluate_set_rebuild(
     set: &[NetId],
 ) -> Result<PruneEval, StudyError> {
     let pruned = apply_set(base, analysis, set);
-    // Compile the candidate's tape single-threaded: this function runs
-    // inside an already-saturated worker pool, so nested
-    // word-parallelism would only oversubscribe the cores.
-    let tape = pax_sim::CompiledNetlist::compile(&pruned).with_threads(1);
+    // The candidate's tape runs on the calling thread; the evaluator's
+    // `par` pool parallelizes across candidates.
+    let tape = pax_sim::CompiledNetlist::compile(&pruned);
     let outcome = try_evaluate_compiled(&tape, model, test)?;
     let area = area::area_mm2(&pruned, lib)?;
     let power = pax_sim::power::power(&pruned, lib, tech, &outcome.sim.activity)?;

@@ -12,8 +12,8 @@
 //! Covered here, on real bespoke circuits (classifier *and* regressor,
 //! so both score-decoding paths run):
 //!
-//! * random `(τc, φc)` candidates → bit-equal `PruneEval`s;
-//! * thread-count invariance of the masked tape execution;
+//! * random `(τc, φc)` candidates and every distinct set of the
+//!   paper's grid → bit-equal `PruneEval`s;
 //! * the public `Evaluator` paths (`EvalMode::Overlay` vs
 //!   `EvalMode::Rebuild`) producing identical `DesignPoint`s;
 //! * every `Evaluator` path (overlay, rebuild, fabric) surfacing
@@ -105,7 +105,7 @@ fn assert_bit_equal(overlay: &PruneEval, rebuild: &PruneEval, what: &str) {
     assert_eq!(overlay.n_pruned, rebuild.n_pruned, "{what}: n_pruned");
 }
 
-fn check_fixture(f: &Fixture, tau_c: f64, phi_c: i64, threads: usize) {
+fn check_fixture(f: &Fixture, tau_c: f64, phi_c: i64) {
     let lib = egt_pdk::egt_library();
     let tech = TechParams::egt();
     let set = gate_set(&f.analysis, tau_c, phi_c);
@@ -116,8 +116,7 @@ fn check_fixture(f: &Fixture, tau_c: f64, phi_c: i64, threads: usize) {
         &lib,
         &tech,
     )
-    .expect("context over the EGT library")
-    .with_threads(threads);
+    .expect("context over the EGT library");
     let overlay = ctx.evaluate(&f.analysis, &set).expect("overlay evaluation");
     let rebuild = try_evaluate_set_rebuild(
         &f.circuit.netlist,
@@ -129,27 +128,22 @@ fn check_fixture(f: &Fixture, tau_c: f64, phi_c: i64, threads: usize) {
         &set,
     )
     .expect("rebuild evaluation");
-    assert_bit_equal(
-        &overlay,
-        &rebuild,
-        &format!("τc={tau_c} φc={phi_c} |set|={} threads={threads}", set.len()),
-    );
+    assert_bit_equal(&overlay, &rebuild, &format!("τc={tau_c} φc={phi_c} |set|={}", set.len()));
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Classifier circuits: overlay == rebuild on all four axes, for
-    /// random threshold pairs and thread counts.
+    /// random threshold pairs.
     #[test]
     fn classifier_overlay_equals_rebuild(
         seed in any::<u64>(),
         tau_c in 0.5f64..1.0,
         phi_raw in -1i64..12,
-        threads in 1usize..4,
     ) {
         let f = classifier_fixture(seed);
-        check_fixture(&f, tau_c, phi_raw, threads);
+        check_fixture(&f, tau_c, phi_raw);
     }
 
     /// Regressor circuits exercise the `score0` dequantization path.
@@ -160,7 +154,7 @@ proptest! {
         phi_raw in -1i64..12,
     ) {
         let f = regressor_fixture(seed);
-        check_fixture(&f, tau_c, phi_raw, 1);
+        check_fixture(&f, tau_c, phi_raw);
     }
 
     /// One `DeltaSession` reused across a random `(τc, φc)` chain —
@@ -195,11 +189,10 @@ proptest! {
     }
 }
 
-/// Every distinct set of the paper's grid, at several thread counts:
-/// the masked tape's chunked toggle counting must not leak into any
-/// measured figure.
+/// Every distinct set of the paper's grid: overlay == rebuild on all
+/// four axes.
 #[test]
-fn grid_sweep_is_thread_invariant_and_bit_identical() {
+fn grid_sweep_is_bit_identical() {
     let f = classifier_fixture(1);
     let lib = egt_pdk::egt_library();
     let tech = TechParams::egt();
@@ -220,20 +213,17 @@ fn grid_sweep_is_thread_invariant_and_bit_identical() {
             .unwrap()
         })
         .collect();
-    for threads in [1usize, 2, 8] {
-        let ctx = OverlayContext::new(
-            f.circuit.netlist.clone(),
-            f.circuit.model.clone(),
-            f.test.clone(),
-            &lib,
-            &tech,
-        )
-        .unwrap()
-        .with_threads(threads);
-        for (s, want) in grid.sets.iter().zip(&reference) {
-            let got = ctx.evaluate(&f.analysis, s).unwrap();
-            assert_bit_equal(&got, want, &format!("threads={threads} |set|={}", s.len()));
-        }
+    let ctx = OverlayContext::new(
+        f.circuit.netlist.clone(),
+        f.circuit.model.clone(),
+        f.test.clone(),
+        &lib,
+        &tech,
+    )
+    .unwrap();
+    for (s, want) in grid.sets.iter().zip(&reference) {
+        let got = ctx.evaluate(&f.analysis, s).unwrap();
+        assert_bit_equal(&got, want, &format!("|set|={}", s.len()));
     }
 }
 

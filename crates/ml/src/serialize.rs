@@ -113,9 +113,23 @@ pub fn from_text(text: &str) -> Result<QuantizedModel, String> {
                 if v.len() != 3 {
                     return Err(format!("spec needs 3 fields, got {}", v.len()));
                 }
+                // `QuantSpec::input_max` computes `(1 << input_bits) - 1`
+                // and `coef_range` shifts by `coef_bits - 1`, in `i64`.
+                if v[0] > 62 || !(1..=63).contains(&v[1]) {
+                    return Err(format!(
+                        "spec `{rest}`: input bits must be at most 62 and coefficient bits 1..=63"
+                    ));
+                }
                 spec = Some(QuantSpec { input_bits: v[0], coef_bits: v[1], hidden_bits: v[2] });
             }
-            "shift" => shift = Some(rest.parse().map_err(|_| "bad shift")?),
+            "shift" => {
+                let v: u32 = rest.parse().map_err(|_| "bad shift")?;
+                // Hidden activations are `i64`s shifted right by this.
+                if v > 63 {
+                    return Err(format!("shift {v} exceeds 63"));
+                }
+                shift = Some(v);
+            }
             "hidden_width" => hidden_width = Some(rest.parse().map_err(|_| "bad hidden_width")?),
             "output_scale" => output_scale = Some(rest.parse().map_err(|_| "bad output_scale")?),
             "layer1" | "layer2" => {
@@ -126,6 +140,15 @@ pub fn from_text(text: &str) -> Result<QuantizedModel, String> {
                 if dims.len() != 2 {
                     return Err("layer header needs `<rows> <cols>`".into());
                 }
+                // Each row takes a line: bound the count by the text
+                // before allocating for it.
+                let left = lines.clone().take(dims[0]).count();
+                if left < dims[0] {
+                    return Err(format!(
+                        "{key} declares {} rows, only {left} lines remain",
+                        dims[0]
+                    ));
+                }
                 let mut sums = Vec::with_capacity(dims[0]);
                 for _ in 0..dims[0] {
                     let row = lines.next().ok_or("truncated layer")?;
@@ -133,7 +156,7 @@ pub fn from_text(text: &str) -> Result<QuantizedModel, String> {
                         .split_whitespace()
                         .map(|t| t.parse().map_err(|_| format!("bad weight `{t}`")))
                         .collect::<Result<_, _>>()?;
-                    if vals.len() != dims[1] + 1 {
+                    if vals.len() != dims[1].saturating_add(1) {
                         return Err(format!(
                             "row has {} values, expected bias + {} weights",
                             vals.len(),
@@ -202,6 +225,45 @@ mod tests {
         // Corrupt a weight row: drop the last token of the first layer row.
         let corrupted = text.replace("layer1 2 3", "layer1 2 4");
         assert!(from_text(&corrupted).is_err());
+    }
+
+    #[test]
+    fn row_count_beyond_the_text_is_rejected_before_allocating() {
+        let text = to_text(&sample_mlp_model()).replace("layer1 2 3", "layer1 1000000000000 3");
+        let err = from_text(&text).expect_err("a trillion rows cannot fit the text");
+        assert!(err.contains("1000000000000 rows"), "{err}");
+        // A column count at the top of `usize` cannot overflow the row
+        // length check.
+        let text =
+            to_text(&sample_mlp_model()).replace("layer1 2 3", &format!("layer1 2 {}", usize::MAX));
+        assert!(from_text(&text).is_err());
+    }
+
+    #[test]
+    fn spec_widths_that_overflow_the_quantizer_shifts_are_rejected() {
+        let text = to_text(&sample_mlp_model());
+        for bad in ["spec 4 0 8", "spec 63 8 8", "spec 4 64 8", "spec 4 4000000000 8"] {
+            let err = from_text(&text.replace("spec 4 8 8", bad)).expect_err(bad);
+            assert!(err.contains("spec"), "{bad}: {err}");
+        }
+        // The widest accepted spec evaluates its ranges without overflow.
+        let m = from_text(&text.replace("spec 4 8 8", "spec 62 63 8")).unwrap();
+        assert_eq!(m.spec.input_max(), i64::MAX >> 1);
+        assert_eq!(m.spec.coef_range(), (-(1i64 << 62), (1i64 << 62) - 1));
+    }
+
+    #[test]
+    fn shifts_that_overflow_the_hidden_layer_are_rejected() {
+        let m = sample_mlp_model();
+        let text = to_text(&m);
+        let line = format!("shift {}", m.hidden_shift);
+        for bad in ["shift 64", "shift 4294967295"] {
+            let err = from_text(&text.replace(&line, bad)).expect_err(bad);
+            assert!(err.contains("shift"), "{bad}: {err}");
+        }
+        // The largest accepted shift runs the hidden layer.
+        let widest = from_text(&text.replace(&line, "shift 63")).unwrap();
+        assert_eq!(widest.hidden_int(&[15, 15, 15]), vec![0, 0]);
     }
 
     #[test]

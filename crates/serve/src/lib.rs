@@ -58,7 +58,7 @@
 //! let svm = train_svm_classifier(&train, &SvmParams::default(), 3);
 //! let model = QuantizedModel::from_linear_classifier("doc", &svm, QuantSpec::default());
 //! let fw = Framework::new(FrameworkConfig::default());
-//! let study = fw.run_study(&model, &train, &test);
+//! let study = fw.try_run_study(&model, &train, &test)?;
 //! let pick = study.best_within_loss(Technique::Cross, 0.02);
 //! let artifact = fw.export_artifact(&model, &train, &pick);
 //!
@@ -68,6 +68,7 @@
 //! let row = model.quantize_input(&test.features[0]);
 //! let class = engine.submit("doc", row).unwrap().wait().class().unwrap();
 //! assert!(class < model.n_classes);
+//! # Ok::<(), pax_core::StudyError>(())
 //! ```
 
 #![forbid(unsafe_code)]

@@ -38,10 +38,12 @@
 //!   accounting must observe every internal net, and fused cones elide
 //!   theirs. The unfused tape doubles as the differential oracle the
 //!   fused tape is pinned against;
-//! * **multi-threaded word execution** — words are independent, so
-//!   large stimuli are chunked across threads; toggle counting stays
-//!   exact because each chunk re-derives the boundary sample from the
-//!   preceding word before it starts counting.
+//! * **sequential word execution** — every entry point runs its words
+//!   one after another on the calling thread. The largest catalog run,
+//!   pendigits svm-c's τ analysis, is about a million tape operations,
+//!   too little to pay for threads; callers that evaluate many tapes or
+//!   masks parallelize across those evaluations instead (`pax_core::par`
+//!   and the `pax-serve` worker pool).
 //!
 //! All entry points are pinned bit-for-bit (ports, ones, toggles) to
 //! [`simulate`](crate::simulate) and to the scalar
@@ -107,13 +109,12 @@ pub struct CompiledNetlist {
     input_ports: Vec<Port>,
     pub(crate) output_ports: Vec<Port>,
     /// Value slot of every output-port bit, ports in declaration order,
-    /// bits LSB-first — the flat order chunk output planes use.
+    /// bits LSB-first — the flat order output planes use.
     pub(crate) output_slots: Vec<u32>,
     /// Unfused tape position of the instruction writing each slot
     /// (`u32::MAX` for input/non-gate slots) — the lookup masked
     /// execution rewrites through.
     pub(crate) instr_of: Vec<u32>,
-    threads: usize,
 }
 
 /// A [`Stimulus`] packed once against a tape's input ports, reusable
@@ -240,18 +241,7 @@ impl CompiledNetlist {
             output_ports: nl.output_ports().to_vec(),
             output_slots,
             instr_of,
-            threads: 0,
         }
-    }
-
-    /// Pins the worker-thread count for [`run`](Self::run) /
-    /// [`run_with_activity`](Self::run_with_activity). `0` (the default)
-    /// sizes the pool from the available parallelism; `1` forces
-    /// sequential execution. Results are bit-identical regardless.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
     }
 
     /// The compiled netlist's module name.
@@ -364,8 +354,7 @@ impl CompiledNetlist {
     /// so masking a cone's output always wins over masks inside it.
     /// Functional outputs equal the rebuilt netlist's bit for bit, and
     /// equal [`run_masked_with_activity`](Self::run_masked_with_activity)'s
-    /// on every port; results are bit-identical across thread counts and
-    /// word widths.
+    /// on every port; results are bit-identical across word widths.
     ///
     /// # Panics
     ///
@@ -436,7 +425,6 @@ impl CompiledNetlist {
     /// [`run_masked`](Self::run_masked) is pinned against. Per-slot
     /// activity is reported in *base-netlist* slot space — a fold
     /// provenance maps surviving rebuilt gates back onto these slots.
-    /// Results are bit-identical across thread counts.
     ///
     /// # Panics
     ///
@@ -478,28 +466,9 @@ impl CompiledNetlist {
     /// the whole tape.
     pub fn trace(&self, packed: &PackedStimulus) -> BaseTrace {
         let p = &packed.inner;
-        let mut vals = vec![0u64; self.n_slots];
         let mut rows = Vec::with_capacity(p.n_words);
-        let mut ones = vec![0u64; self.n_slots];
-        let mut toggles = vec![0u64; self.n_slots];
-        let mut prev_msb = vec![0u64; self.n_slots];
-        for w in 0..p.n_words {
-            load_inputs(p, w, &mut vals);
-            exec_runs(&self.runs, &self.instrs, &mut vals);
-            let valid = (p.n_samples - w * 64).min(64);
-            let mask = if valid == 64 { u64::MAX } else { (1u64 << valid) - 1 };
-            for (idx, &v) in vals.iter().enumerate() {
-                ones[idx] += (v & mask).count_ones() as u64;
-                let shifted = (v << 1) | prev_msb[idx];
-                let mut diff = (v ^ shifted) & mask;
-                if w == 0 {
-                    diff &= !1;
-                }
-                toggles[idx] += diff.count_ones() as u64;
-                prev_msb[idx] = v >> (valid - 1) & 1;
-            }
-            rows.push(vals.clone());
-        }
+        let (ones, toggles) = self
+            .execute_counted(&self.instrs, self.n_slots, p, |_, vals, _| rows.push(vals.to_vec()));
         BaseTrace { n_samples: p.n_samples, n_words: p.n_words, rows, ones, toggles }
     }
 
@@ -586,9 +555,8 @@ impl CompiledNetlist {
     }
 
     /// Runs the fused plan (base or masked views of its instruction and
-    /// LUT vectors) over all words, in parallel chunks when the stimulus
-    /// is large enough, and flattens the `W`-wide output planes back to
-    /// `u64` words.
+    /// LUT vectors) over all words and flattens the `W`-wide output
+    /// planes back to `u64` words.
     fn execute_fused<W: Word>(
         &self,
         instrs: &[Instr],
@@ -596,71 +564,14 @@ impl CompiledNetlist {
         n_vals: usize,
         packed: &PackedInputs<W>,
     ) -> SimOutputs {
-        let n_words = packed.n_words;
-        let ops_per_word = (instrs.len() + luts.len()).max(1) * W::LIMBS;
-        let chunks = self.plan_chunks(n_words, ops_per_word);
-        let outs: Vec<Vec<Vec<W>>> = if chunks.len() <= 1 {
-            vec![self.eval_chunk_fused(instrs, luts, n_vals, packed, 0, n_words)]
-        } else {
-            std::thread::scope(|s| {
-                let handles: Vec<_> = chunks
-                    .iter()
-                    .map(|&(w0, w1)| {
-                        s.spawn(move || self.eval_chunk_fused(instrs, luts, n_vals, packed, w0, w1))
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("chunk worker")).collect()
-            })
-        };
-
-        // Flatten W-wide planes to u64 words: lane l of wide word w is
-        // bit l % 64 of limb l / 64, so limbs are consecutive u64 words
-        // of the same plane. The tail word is masked to valid samples.
-        let n_samples = packed.n_samples;
-        let n_words64 = n_samples.div_ceil(64);
-        let mut flat: Vec<Vec<u64>> = vec![vec![0u64; n_words64]; self.output_slots.len()];
-        for (chunk, &(w0, _)) in outs.iter().zip(&chunks) {
-            for (full, part) in flat.iter_mut().zip(chunk) {
-                for (off, wv) in part.iter().enumerate() {
-                    let w = w0 + off;
-                    for l in 0..W::LIMBS {
-                        let g = w * W::LIMBS + l;
-                        if g >= n_words64 {
-                            break;
-                        }
-                        let valid = (n_samples - g * 64).min(64);
-                        let m = if valid == 64 { u64::MAX } else { (1u64 << valid) - 1 };
-                        full[g] = wv.limb(l) & m;
-                    }
-                }
-            }
-        }
-        let mut port_words: BTreeMap<String, Vec<Vec<u64>>> = BTreeMap::new();
-        let mut cursor = flat.into_iter();
-        for p in &self.output_ports {
-            let planes: Vec<Vec<u64>> = cursor.by_ref().take(p.width()).collect();
-            port_words.insert(p.name.clone(), planes);
-        }
-        SimOutputs::new(n_samples, port_words)
-    }
-
-    /// Evaluates words `[w0, w1)` of the fused plan — functional planes
-    /// only, no activity.
-    fn eval_chunk_fused<W: Word>(
-        &self,
-        instrs: &[Instr],
-        luts: &[LutInstr],
-        n_vals: usize,
-        packed: &PackedInputs<W>,
-        w0: usize,
-        w1: usize,
-    ) -> Vec<Vec<W>> {
         let mut vals = vec![W::zero(); n_vals];
         if n_vals > self.n_slots {
             vals[self.n_slots + 1] = W::ones(); // the reserved all-ones slot
         }
-        let mut planes = vec![vec![W::zero(); w1 - w0]; self.output_slots.len()];
-        for w in w0..w1 {
+        let n_samples = packed.n_samples;
+        let n_words64 = n_samples.div_ceil(64);
+        let mut flat: Vec<Vec<u64>> = vec![vec![0u64; n_words64]; self.output_slots.len()];
+        for w in 0..packed.n_words {
             load_inputs(packed, w, &mut vals);
             for step in &self.fused.steps {
                 match *step {
@@ -679,151 +590,71 @@ impl CompiledNetlist {
                     }
                 }
             }
-            for (plane, &slot) in planes.iter_mut().zip(&self.output_slots) {
-                plane[w - w0] = vals[slot as usize];
+            // Lane l of wide word w is bit l % 64 of limb l / 64, so
+            // limbs are consecutive u64 words of the same plane. The
+            // tail word is masked to valid samples.
+            for (plane, &slot) in flat.iter_mut().zip(&self.output_slots) {
+                let wv = vals[slot as usize];
+                for l in 0..W::LIMBS {
+                    let g = w * W::LIMBS + l;
+                    if g >= n_words64 {
+                        break;
+                    }
+                    let valid = (n_samples - g * 64).min(64);
+                    let m = if valid == 64 { u64::MAX } else { (1u64 << valid) - 1 };
+                    plane[g] = wv.limb(l) & m;
+                }
             }
         }
-        planes
+        self.outputs(n_samples, flat)
     }
 
     /// Runs an unfused tape view (the base instruction vector, or a
     /// masked rewrite of it over `n_vals` slots) over all words with
-    /// activity tracking, in parallel chunks when the stimulus is large
-    /// enough, and stitches the per-chunk results. Activity vectors are
-    /// truncated to the netlist's slot count, so reserved mask slots
-    /// never leak out.
+    /// activity tracking.
     fn execute_tracked(
         &self,
         instrs: &[Instr],
         n_vals: usize,
         packed: &PackedInputs,
     ) -> (SimOutputs, Activity) {
-        let n_words = packed.n_words;
-        let chunks = self.plan_chunks(n_words, instrs.len().max(1));
-        let outs: Vec<ChunkOut> = if chunks.len() <= 1 {
-            vec![self.eval_chunk_tracked(instrs, n_vals, packed, 0, n_words)]
-        } else {
-            std::thread::scope(|s| {
-                let handles: Vec<_> = chunks
-                    .iter()
-                    .map(|&(w0, w1)| {
-                        s.spawn(move || self.eval_chunk_tracked(instrs, n_vals, packed, w0, w1))
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("chunk worker")).collect()
-            })
-        };
-
-        // Stitch output planes back into per-port word vectors.
-        let mut flat: Vec<Vec<u64>> = vec![vec![0u64; n_words]; self.output_slots.len()];
-        for (chunk, &(w0, w1)) in outs.iter().zip(&chunks) {
-            for (full, part) in flat.iter_mut().zip(&chunk.planes) {
-                full[w0..w1].copy_from_slice(part);
+        let mut flat: Vec<Vec<u64>> = vec![vec![0u64; packed.n_words]; self.output_slots.len()];
+        let (ones, toggles) = self.execute_counted(instrs, n_vals, packed, |w, vals, mask| {
+            for (plane, &slot) in flat.iter_mut().zip(&self.output_slots) {
+                plane[w] = vals[slot as usize] & mask;
             }
-        }
-        let mut port_words: BTreeMap<String, Vec<Vec<u64>>> = BTreeMap::new();
-        let mut cursor = flat.into_iter();
-        for p in &self.output_ports {
-            let planes: Vec<Vec<u64>> = cursor.by_ref().take(p.width()).collect();
-            port_words.insert(p.name.clone(), planes);
-        }
-
-        let mut ones = vec![0u64; self.n_slots];
-        let mut toggles = vec![0u64; self.n_slots];
-        for chunk in &outs {
-            // The chunk vectors may carry reserved mask slots past
-            // `n_slots`; zip stops at the netlist's own nets.
-            for (acc, v) in ones.iter_mut().zip(&chunk.ones) {
-                *acc += v;
-            }
-            for (acc, v) in toggles.iter_mut().zip(&chunk.toggles) {
-                *acc += v;
-            }
-        }
-        let activity = Activity::new(packed.n_samples, ones, toggles);
-        (SimOutputs::new(packed.n_samples, port_words), activity)
+        });
+        let n_samples = packed.n_samples;
+        (self.outputs(n_samples, flat), Activity::new(n_samples, ones, toggles))
     }
 
-    /// Splits `n_words` into per-thread word ranges. Sequential (one
-    /// chunk) unless multiple threads are warranted: spawning a scoped
-    /// thread costs tens of microseconds, so each chunk must carry
-    /// enough tape work (`ops_per_word` × words, normalized to 64-lane
-    /// units) to amortize it.
-    fn plan_chunks(&self, n_words: usize, ops_per_word: usize) -> Vec<(usize, usize)> {
-        /// Minimum tape operations per chunk. Study-sized tapes (a few
-        /// thousand instructions × tens of words) must stay sequential:
-        /// below this bar the spawn/stitch overhead reliably loses to a
-        /// single thread (`BENCH_compiled_eval.json`'s auto-vs-1-thread
-        /// rows), so the bar sits well above that workload.
-        const MIN_OPS_PER_CHUNK: usize = 1 << 20;
-        let threads = if self.threads == 0 {
-            let auto =
-                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get).min(8);
-            let by_work = (n_words * ops_per_word) / MIN_OPS_PER_CHUNK;
-            auto.min(by_work)
-        } else {
-            self.threads // explicit pin: the caller decided
-        };
-        let threads = threads.min(n_words).max(1);
-        let per = n_words.div_ceil(threads);
-        (0..threads)
-            .map(|t| (t * per, ((t + 1) * per).min(n_words)))
-            .filter(|(w0, w1)| w0 < w1)
-            .collect()
-    }
-
-    /// Worker threads auto-threading would use for an unfused
-    /// activity-tracked run over `n_words` 64-lane words (`1` means
-    /// sequential). Exposed so benchmarks can assert the planning
-    /// policy — study-sized workloads must plan a single thread.
-    pub fn planned_threads(&self, n_words: usize) -> usize {
-        if self.threads != 0 {
-            return self.threads.min(n_words).max(1);
-        }
-        self.plan_chunks(n_words, self.instrs.len().max(1)).len()
-    }
-
-    /// Evaluates words `[w0, w1)` of an unfused tape view with activity
-    /// tracking. A chunk that does not start at word 0 first replays
-    /// word `w0 - 1` functionally to seed the previous-sample bit, so
-    /// cross-chunk toggle counts are exact. When `n_vals` exceeds the
-    /// slot count, the two extra slots are the masked-execution
-    /// constants (all-zero and all-one lanes).
-    fn eval_chunk_tracked(
+    /// Executes an unfused tape view word by word, handing each word's
+    /// slot values and valid-lane mask to `visit`, and returns the
+    /// per-slot `(ones, toggles)` counts. When `n_vals` exceeds the slot
+    /// count, the two extra slots are the masked-execution constants
+    /// (all-zero and all-one lanes); the counts cover the netlist's own
+    /// slots only, so they never leak out.
+    fn execute_counted(
         &self,
         instrs: &[Instr],
         n_vals: usize,
         packed: &PackedInputs,
-        w0: usize,
-        w1: usize,
-    ) -> ChunkOut {
-        let n_samples = packed.n_samples;
+        mut visit: impl FnMut(usize, &[u64], u64),
+    ) -> (Vec<u64>, Vec<u64>) {
         let mut vals = vec![0u64; n_vals];
         if n_vals > self.n_slots {
             vals[self.n_slots + 1] = u64::MAX; // the reserved all-ones slot
         }
-        let mut planes = vec![vec![0u64; w1 - w0]; self.output_slots.len()];
-        let mut ones = vec![0u64; n_vals];
-        let mut toggles = vec![0u64; n_vals];
-        let mut prev_msb = vec![0u64; n_vals];
-
-        if w0 > 0 {
-            // Replay the word before the chunk, counting nothing: only
-            // its last sample (always lane 63 — every non-final word is
-            // full) seeds the toggle boundary.
-            load_inputs(packed, w0 - 1, &mut vals);
-            exec_runs(&self.runs, instrs, &mut vals);
-            for (msb, &v) in prev_msb.iter_mut().zip(&vals) {
-                *msb = v >> 63 & 1;
-            }
-        }
-
-        for w in w0..w1 {
+        let mut ones = vec![0u64; self.n_slots];
+        let mut toggles = vec![0u64; self.n_slots];
+        // Each slot's value on the previous word's last sample.
+        let mut prev_msb = vec![0u64; self.n_slots];
+        for w in 0..packed.n_words {
             load_inputs(packed, w, &mut vals);
             exec_runs(&self.runs, instrs, &mut vals);
-            let valid = (n_samples - w * 64).min(64);
+            let valid = (packed.n_samples - w * 64).min(64);
             let mask = if valid == 64 { u64::MAX } else { (1u64 << valid) - 1 };
-            for (idx, &v) in vals.iter().enumerate() {
+            for (idx, &v) in vals[..self.n_slots].iter().enumerate() {
                 ones[idx] += (v & mask).count_ones() as u64;
                 let shifted = (v << 1) | prev_msb[idx];
                 let mut diff = (v ^ shifted) & mask;
@@ -833,11 +664,20 @@ impl CompiledNetlist {
                 toggles[idx] += diff.count_ones() as u64;
                 prev_msb[idx] = v >> (valid - 1) & 1;
             }
-            for (plane, &slot) in planes.iter_mut().zip(&self.output_slots) {
-                plane[w - w0] = vals[slot as usize] & mask;
-            }
+            visit(w, &vals, mask);
         }
-        ChunkOut { planes, ones, toggles }
+        (ones, toggles)
+    }
+
+    /// Groups flat `u64` output planes (ports in declaration order, bits
+    /// LSB-first) back into per-port word vectors.
+    fn outputs(&self, n_samples: usize, flat: Vec<Vec<u64>>) -> SimOutputs {
+        let mut port_words: BTreeMap<String, Vec<Vec<u64>>> = BTreeMap::new();
+        let mut cursor = flat.into_iter();
+        for p in &self.output_ports {
+            port_words.insert(p.name.clone(), cursor.by_ref().take(p.width()).collect());
+        }
+        SimOutputs::new(n_samples, port_words)
     }
 }
 
@@ -917,13 +757,6 @@ fn exec_run<W: Word>(op: GateKind, instrs: &[Instr], vals: &mut [W]) {
         // ins = (sel, a, b): sel ? a : b
         GateKind::Mux2 => ternary!(instrs, |a, b, c| (a & b) | (!a & c)),
     }
-}
-
-/// One chunk's worth of tracked results, stitched by `execute_tracked`.
-struct ChunkOut {
-    planes: Vec<Vec<u64>>,
-    ones: Vec<u64>,
-    toggles: Vec<u64>,
 }
 
 /// Operand rewrite pinning a gate of `kind` to the constant `value`,
@@ -1160,26 +993,20 @@ mod tests {
     }
 
     #[test]
-    fn thread_counts_do_not_change_results() {
+    fn many_word_runs_match_the_interpreter() {
         let nl = all_kinds_netlist();
         let stim = exhaustive_stim(3, 100); // 800 samples, 13 words
         let reference = simulate(&nl, &stim);
-        for threads in [1, 2, 3, 8] {
-            let compiled = CompiledNetlist::compile(&nl).with_threads(threads);
-            let got = compiled.run_with_activity(&stim).unwrap();
-            assert_eq!(got.port_values("y"), reference.port_values("y"), "threads={threads}");
-            for i in 0..nl.len() {
-                let net = NetId::from_index(i);
-                assert_eq!(got.activity.ones(net), reference.activity.ones(net));
-                assert_eq!(
-                    got.activity.toggles(net),
-                    reference.activity.toggles(net),
-                    "threads={threads} net={i}"
-                );
-            }
-            // The fused functional path is thread-invariant too.
-            assert_eq!(compiled.run(&stim).unwrap().port_values("y"), reference.port_values("y"));
+        let compiled = CompiledNetlist::compile(&nl);
+        let got = compiled.run_with_activity(&stim).unwrap();
+        assert_eq!(got.port_values("y"), reference.port_values("y"));
+        for i in 0..nl.len() {
+            let net = NetId::from_index(i);
+            assert_eq!(got.activity.ones(net), reference.activity.ones(net), "net={i}");
+            assert_eq!(got.activity.toggles(net), reference.activity.toggles(net), "net={i}");
         }
+        // The fused functional path agrees too.
+        assert_eq!(compiled.run(&stim).unwrap().port_values("y"), reference.port_values("y"));
     }
 
     #[test]
@@ -1202,17 +1029,6 @@ mod tests {
         assert_eq!(compiled.n_runs(), 3);
         assert_eq!(compiled.n_slots(), nl.len());
         assert_eq!(compiled.name(), "grp");
-    }
-
-    #[test]
-    fn planned_threads_stay_sequential_on_small_workloads() {
-        let nl = all_kinds_netlist();
-        let compiled = CompiledNetlist::compile(&nl);
-        // A study-sized workload (tens of words × a small tape) must
-        // never be split: the spawn overhead loses to one thread.
-        assert_eq!(compiled.planned_threads(64), 1);
-        // Explicit pins are honored verbatim.
-        assert_eq!(compiled.clone().with_threads(3).planned_threads(64), 3);
     }
 
     #[test]
@@ -1299,7 +1115,7 @@ mod tests {
     }
 
     #[test]
-    fn masked_run_is_thread_invariant_and_packed_paths_agree() {
+    fn masked_run_and_packed_paths_agree() {
         let nl = all_kinds_netlist();
         let stim = exhaustive_stim(3, 100); // 800 samples, 13 words
         let mask_net = nl
@@ -1309,32 +1125,13 @@ mod tests {
                 _ => None,
             })
             .expect("AND3 present");
-        let reference = {
-            let c = CompiledNetlist::compile(&nl).with_threads(1);
-            let packed = c.pack(&stim).unwrap();
-            c.run_masked_with_activity(&packed, &[(mask_net, true)])
-        };
-        for threads in [2, 3, 8] {
-            let c = CompiledNetlist::compile(&nl).with_threads(threads);
-            let packed = c.pack(&stim).unwrap();
-            let got = c.run_masked_with_activity(&packed, &[(mask_net, true)]);
-            assert_eq!(got.port_values("y"), reference.port_values("y"), "threads={threads}");
-            for i in 0..nl.len() {
-                let net = NetId::from_index(i);
-                assert_eq!(got.activity.ones(net), reference.activity.ones(net));
-                assert_eq!(
-                    got.activity.toggles(net),
-                    reference.activity.toggles(net),
-                    "threads={threads} net={i}"
-                );
-            }
-            // The fused masked path is thread-invariant too.
-            let fused = c.run_masked(&packed, &[(mask_net, true)]);
-            assert_eq!(fused.port_values("y"), reference.port_values("y"), "threads={threads}");
-        }
-        // The packed entry points agree with the stimulus-taking ones.
         let c = CompiledNetlist::compile(&nl);
         let packed = c.pack(&stim).unwrap();
+        // The fused masked path agrees with the unfused tracked one.
+        let tracked = c.run_masked_with_activity(&packed, &[(mask_net, true)]);
+        let fused = c.run_masked(&packed, &[(mask_net, true)]);
+        assert_eq!(fused.port_values("y"), tracked.port_values("y"));
+        // The packed entry points agree with the stimulus-taking ones.
         assert_eq!(packed.n_samples(), 800);
         let a = c.run_packed_with_activity(&packed);
         let b = c.run_with_activity(&stim).unwrap();

@@ -286,7 +286,7 @@ mod tests {
     #[test]
     fn delta_chain_matches_masked_oracles() {
         let (nl, nets) = sample();
-        let tape = CompiledNetlist::compile(&nl).with_threads(1);
+        let tape = CompiledNetlist::compile(&nl);
         let stim = stim(5, 3); // 96 samples: exercises the tail word
         let packed = tape.pack(&stim).unwrap();
         let trace = tape.trace(&packed);
@@ -325,7 +325,7 @@ mod tests {
     #[test]
     fn delta_size_reports_symmetric_difference() {
         let (nl, nets) = sample();
-        let tape = CompiledNetlist::compile(&nl).with_threads(1);
+        let tape = CompiledNetlist::compile(&nl);
         let packed = tape.pack(&stim(5, 1)).unwrap();
         let trace = tape.trace(&packed);
         let mut sim = DeltaSim::new(&tape, &trace);

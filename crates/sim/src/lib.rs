@@ -20,7 +20,8 @@
 //! cost, always collects activity. [`CompiledNetlist`] compiles the
 //! netlist once into a levelized, kind-grouped instruction tape —
 //! fusing single-fanout gate cones into k-input table lookups — and
-//! executes words in parallel, with activity accounting opt-in. The
+//! executes it word by word on the calling thread, with activity
+//! accounting opt-in. The
 //! kernel is generic over the lane width ([`Word`]): 64 lanes (`u64`)
 //! or 256 lanes ([`W256`]), picked automatically by stimulus size.
 //!

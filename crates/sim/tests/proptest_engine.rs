@@ -2,10 +2,9 @@
 //!
 //! The scalar evaluator (`pax_netlist::eval`) is the reference. The
 //! bit-parallel interpreter (`simulate`) and the compiled tape
-//! (`CompiledNetlist`, sequential and multi-threaded) are pinned to it
-//! on arbitrary random circuits and stimuli — functional outputs *and*
-//! per-net activity (ones, toggles), including across 64-sample word
-//! boundaries and thread-chunk boundaries.
+//! (`CompiledNetlist`) are pinned to it on arbitrary random circuits
+//! and stimuli — functional outputs *and* per-net activity (ones,
+//! toggles), including across 64-sample word boundaries.
 //!
 //! Run with a fixed seed (`PAX_PROPTEST_SEED=<n>`) for reproducible
 //! case streams — CI pins one.
@@ -222,34 +221,6 @@ proptest! {
             prop_assert_eq!(interp.activity.toggles(net), toggles[i], "interp toggles net {}", i);
             prop_assert_eq!(tape.activity.ones(net), ones[i], "tape ones net {}", i);
             prop_assert_eq!(tape.activity.toggles(net), toggles[i], "tape toggles net {}", i);
-        }
-    }
-
-    /// Chunked multi-threaded execution is bit-identical to sequential
-    /// — including toggle counts across chunk boundaries.
-    #[test]
-    fn compiled_thread_counts_agree(
-        seed in any::<u64>(),
-        n_gates in 1usize..60,
-        n_samples in 65usize..520,
-        threads in 2usize..5,
-    ) {
-        let nl = random_netlist(seed, n_gates);
-        let stim = random_stimulus(&nl, seed ^ 0xBEEF, n_samples);
-        let sequential = CompiledNetlist::compile(&nl).with_threads(1)
-            .run_with_activity(&stim).expect("valid stimulus");
-        let chunked = CompiledNetlist::compile(&nl).with_threads(threads)
-            .run_with_activity(&stim).expect("valid stimulus");
-        for p in nl.output_ports() {
-            prop_assert_eq!(sequential.port_values(&p.name), chunked.port_values(&p.name));
-        }
-        for i in 0..nl.len() {
-            let net = NetId::from_index(i);
-            prop_assert_eq!(sequential.activity.ones(net), chunked.activity.ones(net));
-            prop_assert_eq!(
-                sequential.activity.toggles(net), chunked.activity.toggles(net),
-                "toggles diverge at net {} (threads={})", i, threads
-            );
         }
     }
 

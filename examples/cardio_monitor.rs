@@ -37,7 +37,7 @@ fn main() {
     let model = QuantizedModel::from_linear_classifier("cardio-patch", &svc, QuantSpec::default());
 
     let fw = Framework::new(FrameworkConfig::default());
-    let study = fw.run_study(&model, &train, &test);
+    let study = fw.try_run_study(&model, &train, &test).expect("study");
 
     println!(
         "\nexact bespoke: {:.1} cm² at accuracy {:.3} (budget: {AREA_BUDGET_CM2} cm²)",

@@ -56,7 +56,7 @@ fn main() {
 
     // 3. Approximate.
     let fw = Framework::new(FrameworkConfig::default());
-    let study = fw.run_study(&model, &train, &test);
+    let study = fw.try_run_study(&model, &train, &test).expect("study");
     let pick = study.best_within_loss(Technique::Cross, 0.01);
     println!(
         "cross-layer design: {:.2} cm² ({:.0}% below baseline), accuracy {:.3}",

@@ -30,7 +30,7 @@ fn main() {
 
     // 3. Run the full cross-layer approximation flow.
     let fw = Framework::new(FrameworkConfig::default());
-    let study = fw.run_study(&model, &train, &test);
+    let study = fw.try_run_study(&model, &train, &test).expect("study");
     println!(
         "baseline bespoke circuit: {:.1} cm², {:.1} mW, accuracy {:.3}",
         study.baseline.area_cm2(),

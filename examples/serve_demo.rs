@@ -31,7 +31,7 @@ fn main() {
     let model = QuantizedModel::from_linear_classifier("cardio", &svm, QuantSpec::default());
 
     let fw = Framework::new(FrameworkConfig::default());
-    let study = fw.run_study(&model, &train, &test);
+    let study = fw.try_run_study(&model, &train, &test).expect("study");
     let front = study.pareto_front();
     // Smallest genuinely pruned cross-layer design within 2% loss — the
     // interesting case for the live auditor (nonzero divergence).

@@ -46,7 +46,7 @@ fn main() {
     let svc_model = QuantizedModel::from_linear_classifier("wine-svc", &svc, QuantSpec::default());
 
     for model in [&svr_model, &svc_model] {
-        let study = fw.run_study(model, &train, &test);
+        let study = fw.try_run_study(model, &train, &test).expect("study");
         println!("\n=== {} ({}) ===", model.name, model.kind);
         for (label, point) in [
             ("exact bespoke", study.baseline.clone()),

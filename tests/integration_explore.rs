@@ -86,7 +86,7 @@ fn legacy_prune_series(
 fn engine_reproduces_legacy_pareto_front_exactly() {
     let (q, train, test) = model_and_data(71);
     let fw = Framework::new(FrameworkConfig::default());
-    let study = fw.run_study(&q, &train, &test);
+    let study = fw.try_run_study(&q, &train, &test).expect("study");
 
     // The baseline pruning series is bit-for-bit the legacy sweep.
     let legacy = legacy_prune_series(&fw, &q, &train, &test, Technique::PruneOnly);
@@ -182,8 +182,8 @@ fn evolutionary_studies_reproduce_for_a_fixed_seed() {
         seed: 1234,
         ..Default::default()
     });
-    let a = fw.run_study_with(&q, &train, &test, &search);
-    let b = fw.run_study_with(&q, &train, &test, &search);
+    let a = fw.try_run_study_with(&q, &train, &test, &search).expect("study");
+    let b = fw.try_run_study_with(&q, &train, &test, &search).expect("study");
     assert_eq!(a.prune_only, b.prune_only);
     assert_eq!(a.cross, b.cross);
     assert_eq!(a.pareto_front(), b.pareto_front());
@@ -211,7 +211,7 @@ fn evolutionary_studies_reproduce_for_a_fixed_seed() {
             seed: 4321,
             ..Default::default()
         });
-        let c = fw.run_study_with(&q, &train, &test, &other);
+        let c = fw.try_run_study_with(&q, &train, &test, &other).expect("study");
         let taus = |s: &pax_core::framework::CircuitStudy| -> Vec<f64> {
             s.cross.iter().filter_map(|p| p.tau_c).collect()
         };
@@ -270,7 +270,7 @@ impl LegacyArchive {
 fn golden_2d_objective_set_reproduces_the_legacy_archive_bit_for_bit() {
     let (q, train, test) = model_and_data(83);
     let fw = Framework::new(FrameworkConfig::default());
-    let study = fw.run_study(&q, &train, &test);
+    let study = fw.try_run_study(&q, &train, &test).expect("study");
     // Every measured design of the study, in study order — the same
     // stream the engine's archive consumed.
     let all: Vec<DesignPoint> = study.all_points().into_iter().cloned().collect();
@@ -315,14 +315,17 @@ fn masked_4d_nsga2_matches_the_native_2d_run() {
     // A 4-D objective set restricted by weights to (accuracy, area)
     // must behave exactly like the native 2-D set: same dominance,
     // same crowding, same genome stream under one seed.
-    let native = fw.run_study_with(&q, &train, &test, &SearchConfig::nsga2(evo.clone()));
-    let masked = fw.run_study_with(
-        &q,
-        &train,
-        &test,
-        &SearchConfig::nsga2(evo)
-            .with_objectives(ObjectiveSet::all().with_weights(&[1.0, 1.0, 0.0, 0.0])),
-    );
+    let native =
+        fw.try_run_study_with(&q, &train, &test, &SearchConfig::nsga2(evo.clone())).expect("study");
+    let masked = fw
+        .try_run_study_with(
+            &q,
+            &train,
+            &test,
+            &SearchConfig::nsga2(evo)
+                .with_objectives(ObjectiveSet::all().with_weights(&[1.0, 1.0, 0.0, 0.0])),
+        )
+        .expect("study");
     assert_eq!(native.prune_only, masked.prune_only);
     assert_eq!(native.cross, masked.cross);
     assert_eq!(native.pareto_front(), masked.pareto_front());
@@ -477,8 +480,8 @@ fn warm_started_search_revisits_the_seeded_front() {
     // Warm starting is part of the deterministic-study contract: the
     // framework-level builder replays bit-for-bit.
     let search = SearchConfig::nsga2(cfg).seed_front(&seeds);
-    let a = fw.run_study_with(&q, &train, &test, &search);
-    let b = fw.run_study_with(&q, &train, &test, &search);
+    let a = fw.try_run_study_with(&q, &train, &test, &search).expect("study");
+    let b = fw.try_run_study_with(&q, &train, &test, &search).expect("study");
     assert_eq!(a.prune_only, b.prune_only);
     assert_eq!(a.cross, b.cross);
     assert_eq!(a.pareto_front(), b.pareto_front());

@@ -137,7 +137,7 @@ fn served_traffic_surfaces_tail_latency_and_exposition() {
     let svm = train_svm_classifier(&train, &SvmParams { epochs: 60, ..Default::default() }, 5);
     let model = QuantizedModel::from_linear_classifier("obs-serve", &svm, QuantSpec::default());
     let fw = Framework::new(FrameworkConfig::default());
-    let study = fw.run_study(&model, &train, &test);
+    let study = fw.try_run_study(&model, &train, &test).expect("study");
     let artifact = fw.export_artifact(&model, &train, &study.baseline);
 
     let engine = ServeEngine::new(EngineConfig::default());

@@ -15,7 +15,7 @@ fn study() -> pax_core::framework::CircuitStudy {
         5,
     );
     let q = QuantizedModel::from_linear_classifier("pa", &m, QuantSpec::default());
-    Framework::new(FrameworkConfig::default()).run_study(&q, &train, &test)
+    Framework::new(FrameworkConfig::default()).try_run_study(&q, &train, &test).expect("study")
 }
 
 #[test]

@@ -58,7 +58,7 @@ fn run_family(kind: ModelKind) -> pax_core::framework::CircuitStudy {
         }
     };
     assert_eq!(model.kind, kind);
-    Framework::new(FrameworkConfig::default()).run_study(&model, &train, &test)
+    Framework::new(FrameworkConfig::default()).try_run_study(&model, &train, &test).expect("study")
 }
 
 #[test]

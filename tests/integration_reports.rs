@@ -20,7 +20,8 @@ fn setup() -> (pax_core::framework::CircuitStudy, BespokeCircuit, pax_ml::Datase
     );
     let q = QuantizedModel::from_linear_classifier("rp", &m, QuantSpec::default());
     let circuit = BespokeCircuit::generate(&q);
-    let study = Framework::new(FrameworkConfig::default()).run_study(&q, &train, &test);
+    let study =
+        Framework::new(FrameworkConfig::default()).try_run_study(&q, &train, &test).expect("study");
     (study, circuit, test, q)
 }
 

@@ -23,7 +23,7 @@ fn export(name: &str, technique: Technique) -> (Artifact, Dataset) {
     let svm = train_svm_classifier(&train, &SvmParams { epochs: 60, ..Default::default() }, 5);
     let model = QuantizedModel::from_linear_classifier(name, &svm, QuantSpec::default());
     let fw = Framework::new(FrameworkConfig::default());
-    let study = fw.run_study(&model, &train, &test);
+    let study = fw.try_run_study(&model, &train, &test).expect("study");
     let point = match technique {
         Technique::Exact => study.baseline.clone(),
         t => study.best_within_loss(t, 0.03),
