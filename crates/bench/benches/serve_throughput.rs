@@ -4,7 +4,7 @@
 //! exists to beat. The acceptance bar is batched `NetlistBackend`
 //! ≥ 10× the scalar loop; the summary table prints the measured ratio.
 //!
-//! A second comparison pits the interpreted `simulate` path against the
+//! A second comparison pits the interpreted `try_simulate` path against the
 //! compiled tape (`CompiledNetlist`) on a study-sized stimulus, with
 //! and without activity accounting. Acceptance bar: compiled with
 //! activity disabled ≥ 3× interpreted. The measured numbers are
@@ -18,7 +18,7 @@ use pax_ml::model::LinearClassifier;
 use pax_ml::quant::{QuantSpec, QuantizedModel};
 use pax_netlist::{eval, Netlist};
 use pax_serve::{Backend, EngineConfig, NetlistBackend, QuantBackend, ServeEngine};
-use pax_sim::{simulate, CompiledNetlist};
+use pax_sim::{try_simulate, CompiledNetlist};
 use pax_synth::opt;
 
 const BATCH_SIZES: [usize; 4] = [1, 8, 64, 256];
@@ -156,7 +156,7 @@ fn bench(c: &mut Criterion) {
     {
         let fused = compiled.run(&study_stim).unwrap();
         let tracked = compiled.run_with_activity(&study_stim).unwrap();
-        let interp = simulate(&netlist, &study_stim);
+        let interp = try_simulate(&netlist, &study_stim).expect("valid stimulus");
         for p in netlist.output_ports() {
             assert_eq!(
                 fused.port_values(&p.name),
@@ -175,7 +175,7 @@ fn bench(c: &mut Criterion) {
     }
     let interp_s = time_it(
         || {
-            black_box(simulate(&netlist, &study_stim));
+            black_box(try_simulate(&netlist, &study_stim).expect("valid stimulus"));
         },
         reps,
     );
@@ -191,10 +191,10 @@ fn bench(c: &mut Criterion) {
         },
         reps,
     );
-    // The search and serving hot paths pack once per study/batch and
-    // execute the fused tape many times (`run_masked`/`run_packed`), so
-    // the pre-packed execution rate is the number the overlay wins ride
-    // on; `run` above additionally pays per-call packing.
+    // Serving packs once per batch and executes the fused tape
+    // (`run_packed`), so the pre-packed execution rate is the number
+    // batched serving rides on; `run` above additionally pays per-call
+    // packing.
     let packed_narrow = compiled.pack(&study_stim).unwrap();
     let packed_wide = compiled.pack_wide(&study_stim).unwrap();
     let fused_narrow_s = time_it(
@@ -269,7 +269,7 @@ fn bench(c: &mut Criterion) {
         let netlist = netlist.clone();
         let stim = study_stim.clone();
         c.bench_function("sim/interpreted_study", move |b| {
-            b.iter(|| black_box(simulate(&netlist, &stim)))
+            b.iter(|| black_box(try_simulate(&netlist, &stim).expect("valid stimulus")))
         });
     }
     {

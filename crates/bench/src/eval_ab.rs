@@ -10,7 +10,7 @@
 //! |---|---|---|---|
 //! | `prune_eval` | `EvalMode::Rebuild` | `EvalMode::Overlay` | evaluator construction + engine run (grid, then NSGA-II) |
 //! | `coeff_eval` | rebuild | overlay, both on the joint coeff × prune grid | engine run (every gene's context is built beforehand; its cost is a counter) |
-//! | `delta_eval` | `OverlayContext::evaluate` | `OverlayContext::evaluate_with_session` | 8 sweeps over the distinct grid sets in lexicographic order, one thread |
+//! | `delta_eval` | `OverlayContext::evaluate` (fresh folds) | `OverlayContext::evaluate_with_session` (refolder replay, same simulation) | 8 sweeps over the distinct grid sets in lexicographic order, one thread |
 //! | `fabric_eval` | in-process evaluator | `Evaluator::with_fabric` on a fresh `ServeEngine` tenant | tenant registration + evaluator construction + engine run (grid, then NSGA-II) |
 //!
 //! Every side runs best-of-3, the same for both sides. The acceptance
@@ -58,7 +58,7 @@ pub enum Study {
     Prune,
     /// Rebuild vs overlay on the joint coefficient × pruning grid.
     Coeff,
-    /// Fresh folds vs delta sessions on one overlay.
+    /// Fresh folds vs refolder replay on one overlay, same simulation.
     Delta,
     /// In-process vs serve-fabric evaluation.
     Fabric,
@@ -92,7 +92,7 @@ const SPECS: [Spec; 4] = [
     },
     Spec {
         name: "delta_eval",
-        heading: "Candidate evaluation — delta sessions vs fresh folds at steady state",
+        heading: "Candidate evaluation — fresh folds vs refolder replay (same simulation) at steady state",
         a: "fresh",
         b: "delta",
         bar: 1.5,
@@ -350,8 +350,9 @@ fn coeff_row(c: &Circuit<'_>) -> Row {
     row
 }
 
-/// `delta_eval`: fresh folds against delta sessions, each side on its
-/// own overlay over the exact base. Both walk the distinct grid sets in
+/// `delta_eval`: fresh folds against refolder replay through delta
+/// sessions, each side on its own overlay over the exact base; both run
+/// the same cone-pass simulation. Both walk the distinct grid sets in
 /// lexicographic order — the longest unbroken lattice chain, and the
 /// order the evaluator's workers walk — on one thread, with a fresh
 /// session per sweep.

@@ -21,7 +21,8 @@
 //! * [`eval_ab`] — the four A/B candidate-evaluation studies in one
 //!   harness (`BENCH_{prune,coeff,delta,fabric}_eval.json`): rebuild
 //!   pipeline versus overlay, the same on the joint coefficient ×
-//!   pruning grid, fresh folds versus delta sessions, and in-process
+//!   pruning grid, fresh folds versus refolder replay (same
+//!   simulation), and in-process
 //!   versus serve-fabric evaluation — each with one row schema,
 //!   best-of-3 timing, a bit-identity check per row and its acceptance
 //!   bar.

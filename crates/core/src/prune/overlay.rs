@@ -10,18 +10,15 @@
 //! [`OverlayContext`] amortizes everything that does not actually
 //! depend on the candidate:
 //!
-//! * the **base tape** is compiled once and executed per candidate with
-//!   a [prune mask](pax_sim::CompiledNetlist::run_masked) — pruned
-//!   gates skip to their dominant constant via two reserved constant
-//!   slots (or pure truth-table transforms where fusion collapsed the
-//!   gate into a LUT cone), so downstream logic behaves exactly as if
-//!   the netlist had been rebuilt. The functional run executes the
-//!   *fused* tape; switching activity comes from an incremental delta
-//!   over a recorded unfused [`BaseTrace`](pax_sim::BaseTrace) — only
-//!   instructions in the pruned set's transitive fanout re-execute,
-//!   and the result is bit-identical to a full tracked masked run;
-//! * the **test stimulus** is quantized and bit-packed once
-//!   ([`PackedStimulus`]);
+//! * the **base tape** is compiled once, and its unmasked run on the
+//!   test stimulus (quantized and bit-packed once) is recorded once as
+//!   a [`BaseTrace`]. Each candidate is then one
+//!   [cone pass](pax_sim::CompiledNetlist::run_cone): pruned gates
+//!   skip to their dominant constant via two reserved constant slots,
+//!   only the pruned set's transitive fanout re-executes, and every
+//!   other value is read from the trace — outputs and switching
+//!   activity bit-identical to a full tracked run of the rebuilt
+//!   netlist;
 //! * the candidate's **surviving structure** comes from the symbolic
 //!   fold ([`FoldedCircuit`]) — node-for-node the netlist
 //!   `apply_set` would have built, without building it — so the
@@ -42,6 +39,12 @@
 //! svm-r design point. The rebuild pipeline itself stays in
 //! `search.rs` as that suite's oracle.
 //!
+//! Both entry points run that same simulation and survivor walk and
+//! differ only in their fold: [`OverlayContext::evaluate`] folds from
+//! scratch, and [`OverlayContext::evaluate_with_session`] replays a
+//! [`DeltaSession`]'s [`Refolder`] from the first substitution that
+//! differs from the session's last mask.
+//!
 //! A context owns its inputs behind `Arc`s, so the
 //! [`Evaluator`](crate::explore::Evaluator) builds one per base circuit
 //! and shares it between its local workers and its fabric jobs; the
@@ -61,7 +64,7 @@ use pax_netlist::traverse::Fanout;
 use pax_netlist::{GateKind, NetId, Netlist};
 use pax_obs::Phases;
 use pax_sim::power::PowerReport;
-use pax_sim::{Activity, BaseTrace, CompiledNetlist, DeltaSim, PackedStimulus};
+use pax_sim::{Activity, BaseTrace, CompiledNetlist, ConeScratch};
 use pax_sta::DelayTable;
 
 use super::{PruneAnalysis, PruneEval};
@@ -131,9 +134,9 @@ impl CellTable {
 }
 
 /// Everything candidate evaluation shares across one base circuit:
-/// the compiled tape, the packed test stimulus, resolved cell figures,
-/// the base timing profile and the fanout table the affected-cone
-/// analysis walks. Build once per `(base circuit, test set)` pair; then
+/// the compiled tape, its recorded run on the test set, resolved cell
+/// figures, the base timing profile and the fanout table the
+/// affected-cone analysis walks. Build once per `(base circuit, test set)` pair; then
 /// [`evaluate`](Self::evaluate) any number of pruned-gate sets without
 /// re-synthesis or recompilation. It owns what it reads, so it can be
 /// shared with threads that outlive its builder.
@@ -144,11 +147,9 @@ pub struct OverlayContext {
     test: Arc<Dataset>,
     tech: TechParams,
     tape: CompiledNetlist,
-    packed: PackedStimulus,
     /// One recorded unfused run of the base tape on the packed test
-    /// set: per-word slot values plus base activity. Masked activity is
-    /// re-derived from it incrementally instead of re-executing the
-    /// whole tracked tape per candidate.
+    /// set: every slot's values plus base activity. Each candidate's
+    /// cone pass reads everything outside its cone from it.
     trace: BaseTrace,
     cells: CellTable,
     delays: DelayTable,
@@ -215,26 +216,25 @@ impl DeltaFoldStats {
     }
 }
 
-/// One worker's rolling delta-evaluation state against a single
-/// [`OverlayContext`]: a rewindable fold replay ([`Refolder`]) plus a
-/// rolling masked simulation ([`DeltaSim`]), both keyed to the last
-/// evaluated mask. Create via [`OverlayContext::delta_session`], feed
-/// to [`OverlayContext::evaluate_with_session`]; results are
-/// bit-identical to [`OverlayContext::evaluate`] regardless of the
-/// session's history.
+/// One worker's rolling evaluation state against a single
+/// [`OverlayContext`]: a rewindable fold replay ([`Refolder`]) keyed to
+/// the last evaluated mask, plus reusable cone-pass buffers. Create via
+/// [`OverlayContext::delta_session`], feed to
+/// [`OverlayContext::evaluate_with_session`]; results are bit-identical
+/// to [`OverlayContext::evaluate`] regardless of the session's history.
 #[derive(Debug)]
 pub struct DeltaSession {
     refolder: Refolder,
-    sim: DeltaSim,
     /// The mask of the last evaluation (id-sorted), for sizing the
     /// delta before committing to a rewind.
     last_mask: Vec<(NetId, bool)>,
+    scratch: ConeScratch,
 }
 
 impl OverlayContext {
-    /// Compiles the shared tape, packs the test stimulus and profiles
-    /// the base circuit's timing. Pass owned values, or `Arc`s to share
-    /// them with other owners.
+    /// Compiles the shared tape, records its run on the packed test
+    /// stimulus and profiles the base circuit's timing. Pass owned
+    /// values, or `Arc`s to share them with other owners.
     ///
     /// # Errors
     ///
@@ -257,8 +257,7 @@ impl OverlayContext {
         // The tape runs on the calling thread; the evaluator's `par`
         // pool parallelizes across candidates.
         let tape = CompiledNetlist::compile(&base);
-        let packed = tape.pack(&stimulus_for(&model, &test))?;
-        let trace = tape.trace(&packed);
+        let trace = tape.trace(&tape.pack(&stimulus_for(&model, &test))?);
         let base_arrival = pax_sta::analyze(&base, lib, tech)?.arrival_ms;
         let fanout = Fanout::build(&base);
         Ok(Self {
@@ -267,7 +266,6 @@ impl OverlayContext {
             test,
             tech: tech.clone(),
             tape,
-            packed,
             trace,
             cells: CellTable::new(lib),
             delays: DelayTable::new(lib),
@@ -292,9 +290,9 @@ impl OverlayContext {
     }
 
     /// Evaluates one pruned-gate set as an overlay on the shared tape:
-    /// masked simulation for accuracy and switching activity, symbolic
-    /// fold for the surviving structure, incremental re-timing for the
-    /// critical path. Bit-identical to the rebuild pipeline
+    /// a cone pass for accuracy and switching activity, a fresh
+    /// symbolic fold for the surviving structure, incremental re-timing
+    /// for the critical path. Bit-identical to the rebuild pipeline
     /// (`try_evaluate_set_rebuild`) on every [`PruneEval`] field.
     ///
     /// # Errors
@@ -307,46 +305,24 @@ impl OverlayContext {
         analysis: &PruneAnalysis,
         set: &[NetId],
     ) -> Result<PruneEval, StudyError> {
-        // `set` is sorted, so the (net, dominant) pairs are too.
-        let mask: Vec<(NetId, bool)> = set.iter().map(|&g| (g, analysis.dominant(g))).collect();
-        let affected = self.affected_cone(set);
-
-        // Masked execution of the shared tape: the pruned gates' slots
-        // stream their dominant constants, everything downstream reacts
-        // exactly as the rebuilt netlist would. Functional outputs run
-        // the fused tape; exact switching activity is re-derived from
-        // the base trace by re-executing only the affected cone.
-        let (sim, activity) = self.phases.time(phase::MASKED_SIM, || {
-            let sim = self.tape.run_masked(&self.packed, &mask);
-            let activity = self.tape.masked_activity(&self.trace, &mask, &affected);
-            (sim, activity)
-        });
-        let (accuracy, _) =
-            self.phases.time(phase::SCORE, || score_outputs(&self.model, &self.test, &sim));
-
-        // The surviving structure — node-for-node what `apply_set`
-        // would rebuild.
-        let folded =
-            self.phases.time(phase::FOLD, || FoldedCircuit::apply_sorted(&self.base, &mask));
+        let mask = mask_of(analysis, set);
+        let fold = |mask: &[(NetId, bool)]| FoldedCircuit::apply_sorted(&self.base, mask);
+        let eval = self.evaluate_mask(&mask, &mut ConeScratch::default(), fold);
         self.full_folds.fetch_add(1, Ordering::Relaxed);
-
-        self.survivor_walk(set.len(), &affected, accuracy, &activity, &folded)
+        eval
     }
 
     /// [`evaluate`](Self::evaluate) through a rolling [`DeltaSession`]:
-    /// the fold resumes the session's cached replay from the first
-    /// divergent substitution and the masked simulation re-executes
-    /// only the slots downstream of the mask's symmetric difference.
-    /// Results are bit-identical to [`evaluate`](Self::evaluate) — and
-    /// therefore to the rebuild pipeline — on every [`PruneEval`]
-    /// field, regardless of what the session evaluated before (pinned
-    /// by the session-chain differential tests).
+    /// the same simulation, but the fold resumes the session's cached
+    /// replay from the first divergent substitution. Results are
+    /// bit-identical to [`evaluate`](Self::evaluate) — and therefore to
+    /// the rebuild pipeline — on every [`PruneEval`] field, regardless
+    /// of what the session evaluated before (pinned by the
+    /// session-chain differential tests).
     ///
     /// When the symmetric difference exceeds `|set| + 2` a rewound
     /// replay would re-do more work than a fresh fold, so the refolder
-    /// falls back to folding from scratch (the rolling simulation's
-    /// worst case already matches the full masked pass and keeps its
-    /// state either way).
+    /// falls back to folding from scratch.
     ///
     /// # Errors
     ///
@@ -359,29 +335,44 @@ impl OverlayContext {
         set: &[NetId],
         session: &mut DeltaSession,
     ) -> Result<PruneEval, StudyError> {
-        // `set` is sorted, so the (net, dominant) pairs are too.
-        let mask: Vec<(NetId, bool)> = set.iter().map(|&g| (g, analysis.dominant(g))).collect();
-        let symdiff = symdiff_len(&session.last_mask, &mask);
+        let mask = mask_of(analysis, set);
+        let DeltaSession { refolder, last_mask, scratch } = session;
+        let symdiff = symdiff_len(last_mask, &mask);
         if symdiff > set.len() + 2 {
-            session.refolder.reset();
+            refolder.reset();
         }
-        let affected = self.affected_cone(set);
-
-        let (sim, activity) =
-            self.phases.time(phase::MASKED_SIM, || session.sim.step(&self.tape, &mask));
-        let (accuracy, _) =
-            self.phases.time(phase::SCORE, || score_outputs(&self.model, &self.test, &sim));
-
-        let folded = self.phases.time(phase::FOLD, || session.refolder.refold(&self.base, &mask));
-        if session.refolder.last_resume().is_some() {
+        let eval = self.evaluate_mask(&mask, scratch, |mask| refolder.refold(&self.base, mask));
+        if refolder.last_resume().is_some() {
             self.delta_folds.fetch_add(1, Ordering::Relaxed);
             self.delta_nets.fetch_add(symdiff as u64, Ordering::Relaxed);
         } else {
             self.full_folds.fetch_add(1, Ordering::Relaxed);
         }
-        session.last_mask = mask;
+        *last_mask = mask;
+        eval
+    }
 
-        self.survivor_walk(set.len(), &affected, accuracy, &activity, &folded)
+    /// The one evaluation body both entry points share; they differ
+    /// only in `fold`. The cone pass runs the shared tape with the
+    /// pruned gates' slots streaming their dominant constants, so
+    /// everything downstream reacts exactly as the rebuilt netlist
+    /// would; `fold` yields the surviving structure — node-for-node
+    /// what `apply_set` would rebuild.
+    fn evaluate_mask(
+        &self,
+        mask: &[(NetId, bool)],
+        scratch: &mut ConeScratch,
+        fold: impl FnOnce(&[(NetId, bool)]) -> FoldedCircuit,
+    ) -> Result<PruneEval, StudyError> {
+        let affected = self.affected_cone(mask);
+        let sim = self
+            .phases
+            .time(phase::MASKED_SIM, || self.tape.run_cone(&self.trace, mask, &affected, scratch));
+        let (accuracy, _) = self
+            .phases
+            .time(phase::SCORE, || score_outputs(&self.model, &self.test, sim.outputs()));
+        let folded = self.phases.time(phase::FOLD, || fold(mask));
+        self.survivor_walk(mask.len(), &affected, accuracy, &sim.activity, &folded)
     }
 
     /// Snapshots the cumulative delta/full fold counters.
@@ -398,19 +389,19 @@ impl OverlayContext {
     pub fn delta_session(&self) -> DeltaSession {
         DeltaSession {
             refolder: Refolder::new(),
-            sim: DeltaSim::new(&self.tape, &self.trace),
             last_mask: Vec::new(),
+            scratch: ConeScratch::default(),
         }
     }
 
     /// Affected cone: the pruned set's transitive fanout in the base
     /// circuit. Gates outside it hold values word-for-word identical
-    /// to the base run (the activity delta merges their counts) and
+    /// to the base run (the cone pass reads them from the trace) and
     /// are isomorphic images of their base counterparts (re-timing
     /// reuses their base arrival times verbatim).
-    fn affected_cone(&self, set: &[NetId]) -> Vec<bool> {
+    fn affected_cone(&self, mask: &[(NetId, bool)]) -> Vec<bool> {
         let mut affected = vec![false; self.base.len()];
-        let mut stack: Vec<NetId> = set.to_vec();
+        let mut stack: Vec<NetId> = mask.iter().map(|&(net, _)| net).collect();
         while let Some(n) = stack.pop() {
             if std::mem::replace(&mut affected[n.index()], true) {
                 continue;
@@ -426,10 +417,8 @@ impl OverlayContext {
 
     /// One walk over the fold's survivors in construction order: area
     /// and power sums plus incremental re-timing, assembled into the
-    /// final [`PruneEval`]. Shared verbatim between the fresh and the
-    /// session paths so both produce the same f64 summation sequence —
-    /// the same order as the rebuild path's separate area/power/STA
-    /// walks.
+    /// final [`PruneEval`]. It keeps the f64 summation sequence of the
+    /// rebuild path's separate area/power/STA walks.
     fn survivor_walk(
         &self,
         n_pruned: usize,
@@ -498,9 +487,14 @@ impl OverlayContext {
     }
 }
 
+/// A sorted pruned-gate set's id-sorted `(net, dominant value)` mask.
+fn mask_of(analysis: &PruneAnalysis, set: &[NetId]) -> Vec<(NetId, bool)> {
+    set.iter().map(|&g| (g, analysis.dominant(g))).collect()
+}
+
 /// The number of `(net, value)` substitutions present in exactly one
 /// of two id-sorted masks (a net re-valued on both sides counts once) —
-/// the same measure [`DeltaSim`] reports as its delta size.
+/// the delta size [`DeltaFoldStats`] reports.
 fn symdiff_len(old: &[(NetId, bool)], new: &[(NetId, bool)]) -> usize {
     let (mut i, mut j, mut n) = (0, 0, 0);
     while i < old.len() && j < new.len() {
@@ -615,6 +609,17 @@ mod tests {
         );
         assert!(stats.hit_rate().unwrap() > 0.0);
         assert!(stats.mean_delta().unwrap() > 0.0);
+    }
+
+    #[test]
+    fn symdiff_counts_each_changed_substitution_once() {
+        let n = |i: usize| NetId::from_index(i);
+        assert_eq!(symdiff_len(&[], &[]), 0);
+        assert_eq!(symdiff_len(&[], &[(n(1), true)]), 1);
+        assert_eq!(symdiff_len(&[(n(1), true)], &[(n(1), true), (n(4), false)]), 1);
+        assert_eq!(symdiff_len(&[(n(1), true), (n(4), false)], &[(n(2), false)]), 3);
+        // A re-valued net counts once.
+        assert_eq!(symdiff_len(&[(n(2), false)], &[(n(2), true)]), 1);
     }
 
     #[test]

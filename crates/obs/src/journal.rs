@@ -384,12 +384,17 @@ pub mod json {
         }
     }
 
+    /// Arrays and objects one document may nest. Journal records nest
+    /// three deep (event → `axes` → axis); the bound keeps hostile
+    /// input from overflowing the recursive parser's stack.
+    pub(super) const MAX_DEPTH: usize = 64;
+
     /// Parses one complete JSON document; trailing non-whitespace is an
-    /// error.
+    /// error, and so is nesting more than 64 arrays and objects.
     pub fn parse(text: &str) -> Result<Value, JournalParseError> {
         let bytes = text.as_bytes();
         let mut at = 0usize;
-        let value = parse_value(bytes, &mut at)?;
+        let value = parse_value(bytes, &mut at, 0)?;
         skip_ws(bytes, &mut at);
         if at != bytes.len() {
             return Err(JournalParseError::Json(at, "trailing characters"));
@@ -412,11 +417,15 @@ pub mod json {
         }
     }
 
-    fn parse_value(bytes: &[u8], at: &mut usize) -> Result<Value, JournalParseError> {
+    /// Parses one value inside `depth` enclosing arrays and objects.
+    fn parse_value(bytes: &[u8], at: &mut usize, depth: usize) -> Result<Value, JournalParseError> {
         skip_ws(bytes, at);
         match bytes.get(*at) {
-            Some(b'{') => parse_object(bytes, at),
-            Some(b'[') => parse_array(bytes, at),
+            Some(b'{' | b'[') if depth == MAX_DEPTH => {
+                Err(JournalParseError::Json(*at, "nesting too deep"))
+            }
+            Some(b'{') => parse_object(bytes, at, depth + 1),
+            Some(b'[') => parse_array(bytes, at, depth + 1),
             Some(b'"') => parse_string(bytes, at).map(Value::Str),
             Some(b't') => parse_literal(bytes, at, b"true", Value::Bool(true)),
             Some(b'f') => parse_literal(bytes, at, b"false", Value::Bool(false)),
@@ -503,7 +512,7 @@ pub mod json {
         }
     }
 
-    fn parse_array(bytes: &[u8], at: &mut usize) -> Result<Value, JournalParseError> {
+    fn parse_array(bytes: &[u8], at: &mut usize, depth: usize) -> Result<Value, JournalParseError> {
         expect(bytes, at, b'[')?;
         let mut items = Vec::new();
         skip_ws(bytes, at);
@@ -512,7 +521,7 @@ pub mod json {
             return Ok(Value::Arr(items));
         }
         loop {
-            items.push(parse_value(bytes, at)?);
+            items.push(parse_value(bytes, at, depth)?);
             skip_ws(bytes, at);
             match bytes.get(*at) {
                 Some(b',') => *at += 1,
@@ -525,7 +534,11 @@ pub mod json {
         }
     }
 
-    fn parse_object(bytes: &[u8], at: &mut usize) -> Result<Value, JournalParseError> {
+    fn parse_object(
+        bytes: &[u8],
+        at: &mut usize,
+        depth: usize,
+    ) -> Result<Value, JournalParseError> {
         expect(bytes, at, b'{')?;
         let mut fields = Vec::new();
         skip_ws(bytes, at);
@@ -538,7 +551,7 @@ pub mod json {
             let key = parse_string(bytes, at)?;
             skip_ws(bytes, at);
             expect(bytes, at, b':')?;
-            fields.push((key, parse_value(bytes, at)?));
+            fields.push((key, parse_value(bytes, at, depth)?));
             skip_ws(bytes, at);
             match bytes.get(*at) {
                 Some(b',') => *at += 1,
@@ -663,5 +676,19 @@ mod tests {
         assert!(parse("{\"a\":1} extra").is_err());
         assert!(parse("\u{1F980} not json").is_err());
         assert_eq!(parse("\"\u{1F980}\"").unwrap(), Value::Str("\u{1F980}".into()));
+    }
+
+    #[test]
+    fn nesting_is_bounded_instead_of_overflowing_the_stack() {
+        fn too_deep<T>(r: Result<T, JournalParseError>) -> bool {
+            matches!(r, Err(JournalParseError::Json(_, "nesting too deep")))
+        }
+        for doc in ["[".repeat(1_000_000), "{\"a\":".repeat(1_000_000)] {
+            assert!(too_deep(json::parse(&doc)), "json::parse");
+            assert!(too_deep(JournalEvent::parse(&doc)), "JournalEvent::parse");
+        }
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(json::parse(&nested(json::MAX_DEPTH)).is_ok(), "exactly at the bound");
+        assert!(too_deep(json::parse(&nested(json::MAX_DEPTH + 1))));
     }
 }

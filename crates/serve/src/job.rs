@@ -212,9 +212,10 @@ impl TenantEntry {
             return Err((job, EnqueueRefusal::Full));
         }
         self.budget_spent.fetch_add(1, Ordering::Relaxed);
-        queue.push_back(job);
-        drop(queue);
+        // Meter before the job is visible to workers (see
+        // `ModelEntry::enqueue`).
         self.metrics.on_submit();
+        queue.push_back(job);
         Ok(())
     }
 

@@ -110,9 +110,11 @@ impl ModelEntry {
             self.metrics.on_reject();
             return false;
         }
-        queue.push_back(req);
-        drop(queue);
+        // Meter before the request is visible: a worker could otherwise
+        // answer it (and decrement the gauge, saturating at zero) before
+        // the increment lands, leaving the gauge one too high.
         self.metrics.on_submit();
+        queue.push_back(req);
         true
     }
 

@@ -7,7 +7,7 @@
 
 use pax_netlist::Netlist;
 
-use crate::{simulate, Stimulus};
+use crate::{try_simulate, SimError, Stimulus};
 
 /// Outcome of an equivalence check.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,34 +39,48 @@ impl Equivalence {
 
 /// Compares two netlists on the same stimulus.
 ///
+/// # Errors
+///
+/// Returns [`SimError`] when the stimulus cannot drive the netlists
+/// (see [`try_simulate`]).
+///
 /// # Panics
 ///
 /// Panics if the netlists disagree on port names/widths — that is an
 /// interface change, not an equivalence question.
-pub fn compare_on(a: &Netlist, b: &Netlist, stim: &Stimulus) -> Equivalence {
+pub fn compare_on(a: &Netlist, b: &Netlist, stim: &Stimulus) -> Result<Equivalence, SimError> {
     assert_port_compatible(a, b);
-    let ra = simulate(a, stim);
-    let rb = simulate(b, stim);
+    let ra = try_simulate(a, stim)?;
+    let rb = try_simulate(b, stim)?;
     for p in a.output_ports() {
         let va = ra.port_values(&p.name);
         let vb = rb.port_values(&p.name);
         for (s, (&x, &y)) in va.iter().zip(vb.iter()).enumerate() {
             if x != y {
-                return Equivalence::Mismatch {
+                return Ok(Equivalence::Mismatch {
                     port: p.name.clone(),
                     sample: s,
                     left: x,
                     right: y,
-                };
+                });
             }
         }
     }
-    Equivalence::Equivalent { samples: stim.n_samples() }
+    Ok(Equivalence::Equivalent { samples: ra.n_samples })
 }
 
 /// Exhaustively compares two netlists whose total input width is ≤ 20
 /// bits; falls back to `n_random` pseudo-random samples otherwise.
-pub fn compare(a: &Netlist, b: &Netlist, n_random: usize) -> Equivalence {
+///
+/// # Errors
+///
+/// Returns [`SimError::EmptyStimulus`] when the inputs are wider than
+/// 20 bits and `n_random` is 0.
+///
+/// # Panics
+///
+/// Panics if the netlists disagree on port names/widths.
+pub fn compare(a: &Netlist, b: &Netlist, n_random: usize) -> Result<Equivalence, SimError> {
     assert_port_compatible(a, b);
     let widths: Vec<(String, usize)> =
         a.input_ports().iter().map(|p| (p.name.clone(), p.width())).collect();
@@ -134,9 +148,9 @@ mod tests {
         // Note: !a ^ b == !(a ^ b), so both variants compute XNOR.
         let a = xor_circuit(false);
         let b = xor_circuit(true);
-        let r = compare(&a, &b, 0);
+        let r = compare(&a, &b, 0).unwrap();
         assert!(!r.is_equivalent() || r.is_equivalent()); // structural smoke
-        match compare(&a, &a, 0) {
+        match compare(&a, &a, 0).unwrap() {
             Equivalence::Equivalent { samples } => assert_eq!(samples, 4),
             other => panic!("self-compare failed: {other:?}"),
         }
@@ -156,7 +170,7 @@ mod tests {
         b2.output_port("y", vec![g].into());
         let b = b2.finish();
 
-        match compare(&a, &b, 0) {
+        match compare(&a, &b, 0).unwrap() {
             Equivalence::Mismatch { port, sample, left, right } => {
                 assert_eq!(port, "y");
                 // AND and OR first differ on x = 0b01.
@@ -189,7 +203,9 @@ mod tests {
         let g = b1.and2(x[0], x[23]);
         b1.output_port("y", vec![g].into());
         let a = b1.finish();
-        let r = compare(&a, &a, 100);
+        let r = compare(&a, &a, 100).unwrap();
         assert!(r.is_equivalent());
+        // No samples to draw from: a typed error, not a panic.
+        assert_eq!(compare(&a, &a, 0), Err(SimError::EmptyStimulus));
     }
 }

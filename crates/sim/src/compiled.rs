@@ -1,6 +1,6 @@
 //! Compile-once/execute-many netlist evaluation.
 //!
-//! [`simulate`](crate::simulate) walks the [`Netlist`] node list on
+//! [`try_simulate`](crate::try_simulate) walks the [`Netlist`] node list on
 //! every word: per gate it matches on the node enum, probes the operand
 //! `Option`s and dispatches on the gate kind. That is fine for a study
 //! that evaluates each netlist once, but the serving engine and the
@@ -21,8 +21,7 @@
 //!   becomes one table-lookup instruction, so a whole run of decoded
 //!   gates collapses into a handful of register-resident word ops. The
 //!   activity-off entry points ([`run`](CompiledNetlist::run),
-//!   [`run_packed`](CompiledNetlist::run_packed),
-//!   [`run_masked`](CompiledNetlist::run_masked)) execute the fused
+//!   [`run_packed`](CompiledNetlist::run_packed)) execute the fused
 //!   tape;
 //! * **width-generic words** — the kernel is generic over
 //!   [`Word`](crate::Word): 64 lanes (`u64`) or 256 lanes
@@ -38,6 +37,13 @@
 //!   accounting must observe every internal net, and fused cones elide
 //!   theirs. The unfused tape doubles as the differential oracle the
 //!   fused tape is pinned against;
+//! * **masked candidates as a cone pass** — a pruning candidate pins
+//!   some gates to constants. [`run_cone`](CompiledNetlist::run_cone)
+//!   re-executes only the pinned gates' transitive fanout, on the
+//!   unfused tape, reading every other value from one recorded
+//!   unmasked run ([`BaseTrace`]); the result equals
+//!   [`run_masked_with_activity`](CompiledNetlist::run_masked_with_activity)'s
+//!   bit for bit;
 //! * **sequential word execution** — every entry point runs its words
 //!   one after another on the calling thread. The largest catalog run,
 //!   pendigits svm-c's τ analysis, is about a million tape operations,
@@ -46,10 +52,11 @@
 //!   and the `pax-serve` worker pool).
 //!
 //! All entry points are pinned bit-for-bit (ports, ones, toggles) to
-//! [`simulate`](crate::simulate) and to the scalar
+//! [`try_simulate`](crate::try_simulate) and to the scalar
 //! [`eval_ports`](pax_netlist::eval::eval_ports) reference by the
 //! differential property suite in `tests/proptest_engine.rs` — fused ==
-//! unfused == interpreted, at both word widths.
+//! unfused == interpreted, at both word widths, and cone pass == masked
+//! unfused run.
 //!
 //! # Examples
 //!
@@ -74,10 +81,10 @@
 
 use std::collections::BTreeMap;
 
-use pax_netlist::{GateKind, Netlist, Node, Port};
+use pax_netlist::{GateKind, NetId, Netlist, Node, Port};
 
 use crate::engine::{pack_inputs, PackedInputs, SimOutputs, SimResult};
-use crate::fuse::{eval_lut, table_mask, FusedTape, Instr, LutInstr, Run, Step, MAX_K};
+use crate::fuse::{eval_lut, FusedTape, Instr, Run, Step, MAX_K};
 use crate::word::{Word, W256};
 use crate::{Activity, SimError, Stimulus};
 
@@ -90,37 +97,34 @@ const WIDE_WORD_THRESHOLD: usize = 128;
 /// A netlist compiled to a flat, kind-grouped instruction tape plus a
 /// LUT-fused execution plan. See the module docs in `compiled.rs` for
 /// the design and when to prefer this over
-/// [`simulate`](crate::simulate).
+/// [`try_simulate`](crate::try_simulate).
 #[derive(Debug, Clone)]
 pub struct CompiledNetlist {
     name: String,
-    pub(crate) n_slots: usize,
+    n_slots: usize,
     /// The unfused tape: every gate, levelized and kind-grouped. This
-    /// is the activity oracle and the source cones are re-derived from.
-    pub(crate) instrs: Vec<Instr>,
+    /// is the activity oracle and what masked runs execute.
+    instrs: Vec<Instr>,
     runs: Vec<Run>,
     /// Gate kind at each unfused tape position (run lookup, hoisted).
-    pub(crate) kinds: Vec<GateKind>,
-    /// Constant value of tie-cell slots (`None` for everything else) —
-    /// needed when re-deriving cone tables under masks.
-    const_of: Vec<Option<bool>>,
+    kinds: Vec<GateKind>,
     /// The fused execution plan the activity-off paths run.
     fused: FusedTape,
     input_ports: Vec<Port>,
-    pub(crate) output_ports: Vec<Port>,
+    output_ports: Vec<Port>,
     /// Value slot of every output-port bit, ports in declaration order,
     /// bits LSB-first — the flat order output planes use.
-    pub(crate) output_slots: Vec<u32>,
+    output_slots: Vec<u32>,
     /// Unfused tape position of the instruction writing each slot
     /// (`u32::MAX` for input/non-gate slots) — the lookup masked
     /// execution rewrites through.
-    pub(crate) instr_of: Vec<u32>,
+    instr_of: Vec<u32>,
 }
 
 /// A [`Stimulus`] packed once against a tape's input ports, reusable
 /// across many [`CompiledNetlist::run_packed`] /
-/// [`CompiledNetlist::run_masked`] calls. Packing validates coverage,
-/// sample counts and port widths — exactly what
+/// [`CompiledNetlist::run_masked_with_activity`] calls. Packing
+/// validates coverage, sample counts and port widths — exactly what
 /// [`CompiledNetlist::run`] does per call — so sharing one
 /// `PackedStimulus` removes that per-evaluation cost when thousands of
 /// pruning candidates are scored on the same test set.
@@ -140,22 +144,23 @@ impl<W: Word> PackedStimulus<W> {
     }
 }
 
-/// One full recording of an unfused, unmasked run: per-word values of
-/// every slot plus the base activity counts. [`CompiledNetlist::trace`]
-/// produces it once per (tape, stimulus) pair;
-/// [`CompiledNetlist::masked_activity`] then re-derives the activity of
-/// any masked variant by re-executing only the instructions downstream
-/// of the mask — every other slot's values (and therefore counts) are
-/// word-for-word identical to the base run, so they are merged from the
+/// One full recording of an unfused, unmasked run: the 64-lane value
+/// words of every slot plus the base activity counts.
+/// [`CompiledNetlist::trace`] produces it once per (tape, stimulus)
+/// pair; [`CompiledNetlist::run_cone`] then evaluates any masked
+/// variant by re-executing only the instructions downstream of the
+/// mask — every other slot's values (and therefore counts) are
+/// word-for-word identical to the base run, so they are read from the
 /// trace instead of recomputed.
 #[derive(Debug, Clone)]
 pub struct BaseTrace {
-    pub(crate) n_samples: usize,
-    pub(crate) n_words: usize,
-    /// `rows[w][slot]`: the value word of `slot` at word `w`.
-    pub(crate) rows: Vec<Vec<u64>>,
-    pub(crate) ones: Vec<u64>,
-    pub(crate) toggles: Vec<u64>,
+    n_samples: usize,
+    n_words: usize,
+    /// Slot-major values: `cols[slot * n_words + w]` is the value word
+    /// of `slot` at word `w`, so one slot's words are contiguous.
+    cols: Vec<u64>,
+    ones: Vec<u64>,
+    toggles: Vec<u64>,
 }
 
 impl BaseTrace {
@@ -168,6 +173,29 @@ impl BaseTrace {
     pub fn base_activity(&self) -> Activity {
         Activity::new(self.n_samples, self.ones.clone(), self.toggles.clone())
     }
+
+    /// The recorded value words of `slot`.
+    fn col(&self, slot: usize) -> &[u64] {
+        &self.cols[slot * self.n_words..(slot + 1) * self.n_words]
+    }
+}
+
+/// Reusable buffers for [`CompiledNetlist::run_cone`]. Every call
+/// re-initializes them, so one scratch may serve any tape and any
+/// trace; keeping one per worker saves re-allocating the cone's value
+/// columns per candidate.
+#[derive(Debug, Default)]
+pub struct ConeScratch {
+    /// Slot → value column in `cols` for the two reserved constant
+    /// slots and the cone's slots; `u32::MAX` (read the trace) for
+    /// every other slot.
+    col_of: Vec<u32>,
+    /// The cone's instructions in tape order, each with its gate kind;
+    /// masked gates are rewired onto the reserved constant slots.
+    cone: Vec<(GateKind, Instr)>,
+    /// Column-major values: the all-zero and the all-one column, then
+    /// one column per cone instruction.
+    cols: Vec<u64>,
 }
 
 impl CompiledNetlist {
@@ -197,7 +225,6 @@ impl CompiledNetlist {
         let mut instrs = Vec::with_capacity(gates.len());
         let mut kinds = Vec::with_capacity(gates.len());
         let mut runs: Vec<Run> = Vec::new();
-        let mut const_of: Vec<Option<bool>> = vec![None; nl.len()];
         for &i in &gates {
             let Node::Gate(g) = nl.nodes()[i] else { unreachable!("filtered to gates") };
             let ins = g.inputs();
@@ -205,11 +232,6 @@ impl CompiledNetlist {
             let at = instrs.len() as u32;
             instrs.push(Instr { a: operand(0), b: operand(1), c: operand(2), dst: i as u32 });
             kinds.push(g.kind);
-            match g.kind {
-                GateKind::Const0 => const_of[i] = Some(false),
-                GateKind::Const1 => const_of[i] = Some(true),
-                _ => {}
-            }
             match runs.last_mut() {
                 Some(run) if run.op == g.kind => run.end = at + 1,
                 _ => runs.push(Run { op: g.kind, start: at, end: at + 1 }),
@@ -235,7 +257,6 @@ impl CompiledNetlist {
             instrs,
             runs,
             kinds,
-            const_of,
             fused,
             input_ports: nl.input_ports().to_vec(),
             output_ports: nl.output_ports().to_vec(),
@@ -298,8 +319,8 @@ impl CompiledNetlist {
     }
 
     /// Packs `stim` against this tape's input ports for repeated
-    /// execution via [`run_packed`](Self::run_packed) /
-    /// [`run_masked`](Self::run_masked), at 64 lanes per word.
+    /// execution via [`run_packed`](Self::run_packed) and the
+    /// activity-tracking entry points, at 64 lanes per word.
     ///
     /// # Errors
     ///
@@ -311,9 +332,8 @@ impl CompiledNetlist {
 
     /// Packs `stim` at 256 lanes per word — the width
     /// [`run`](Self::run) picks automatically for large stimuli. Use
-    /// with [`run_packed`](Self::run_packed) /
-    /// [`run_masked`](Self::run_masked); the activity-tracking entry
-    /// points require 64-lane packing.
+    /// with [`run_packed`](Self::run_packed); the activity-tracking
+    /// entry points require 64-lane packing.
     ///
     /// # Errors
     ///
@@ -327,7 +347,7 @@ impl CompiledNetlist {
     /// functional outputs only. Validation happened at
     /// [`pack`](Self::pack) time, so this path is infallible.
     pub fn run_packed<W: Word>(&self, packed: &PackedStimulus<W>) -> SimOutputs {
-        self.execute_fused(&self.fused.instrs, &self.fused.luts, self.n_slots, &packed.inner)
+        self.execute_fused(&packed.inner)
     }
 
     /// Executes the unfused tape on an already-packed stimulus with full
@@ -337,80 +357,6 @@ impl CompiledNetlist {
         SimResult::new(activity, outputs)
     }
 
-    /// Executes the fused tape with the `mask`ed gates pinned to
-    /// constants — functional outputs only (the overlay-evaluation and
-    /// serving hot path). Masks compose with fusion without recompiling:
-    ///
-    /// * a masked net driven by a *residual* (unfused) gate rewrites
-    ///   that instruction's operands onto two reserved constant slots,
-    ///   exactly as on the unfused tape;
-    /// * a masked net that is a cone *output* splats the cone's truth
-    ///   table to the constant;
-    /// * a masked net *internal* to a cone re-derives that cone's truth
-    ///   table with the net tied to its constant — a pure table
-    ///   transform over the recorded cone members (no recompile).
-    ///
-    /// Output-splat rewrites are applied after internal re-derivations,
-    /// so masking a cone's output always wins over masks inside it.
-    /// Functional outputs equal the rebuilt netlist's bit for bit, and
-    /// equal [`run_masked_with_activity`](Self::run_masked_with_activity)'s
-    /// on every port; results are bit-identical across word widths.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a masked net is not driven by a (non-constant) gate
-    /// instruction of this tape — masking inputs or tie cells is a
-    /// caller bug.
-    pub fn run_masked<W: Word>(
-        &self,
-        packed: &PackedStimulus<W>,
-        mask: &[(pax_netlist::NetId, bool)],
-    ) -> SimOutputs {
-        if mask.is_empty() {
-            return self.run_packed(packed);
-        }
-        let zero = self.n_slots as u32;
-        let one = zero + 1;
-        let mut instrs = self.fused.instrs.clone();
-        let mut luts = self.fused.luts.clone();
-        // Ties landing inside a cone are grouped per cone, so one
-        // re-derivation honors all of them at once.
-        let mut cone_ties: BTreeMap<u32, Vec<(u32, bool)>> = BTreeMap::new();
-        let mut out_splats: Vec<(u32, bool)> = Vec::new();
-        for &(net, value) in mask {
-            let slot = net.index();
-            let base_at = self.instr_of[slot];
-            assert!(base_at != u32::MAX, "masked net {net} is not a gate instruction");
-            let kind = self.kinds[base_at as usize];
-            assert!(!kind.is_free(), "masked net {net} is a constant tie");
-            if self.fused.lut_of[slot] != u32::MAX {
-                out_splats.push((self.fused.lut_of[slot], value));
-            } else if self.fused.cone_of[slot] != u32::MAX {
-                cone_ties.entry(self.fused.cone_of[slot]).or_default().push((slot as u32, value));
-            } else {
-                let at = self.fused.instr_of[slot];
-                debug_assert!(at != u32::MAX, "slot is neither fused nor residual");
-                let (a, b, c) = const_operands(kind, value, zero, one);
-                let i = &mut instrs[at as usize];
-                (i.a, i.b, i.c) = (a, b, c);
-            }
-        }
-        for (&cone, ties) in &cone_ties {
-            luts[cone as usize].table = self.fused.derive_table(
-                cone as usize,
-                &self.instrs,
-                &self.kinds,
-                &self.const_of,
-                ties,
-            );
-        }
-        for &(lut, value) in &out_splats {
-            let k = luts[lut as usize].k;
-            luts[lut as usize].table = if value { table_mask(k) } else { 0 };
-        }
-        self.execute_fused(&instrs, &luts, self.n_slots + 2, &packed.inner)
-    }
-
     /// Executes the **unfused** tape with the `mask`ed gates pinned to
     /// constants, with full per-net activity accounting: each
     /// `(net, value)` pair rewrites that gate's operands onto two
@@ -418,13 +364,12 @@ impl CompiledNetlist {
     /// downstream — behaves exactly as if the net had been substituted
     /// with the constant and the netlist re-synthesized. Run structure,
     /// kinds and instruction positions are untouched; per-call cost is
-    /// one instruction-vector clone.
+    /// one instruction-vector clone and a full tracked run.
     ///
-    /// Exact toggle accounting must observe every internal net, so this
-    /// path never fuses; it is the differential oracle
-    /// [`run_masked`](Self::run_masked) is pinned against. Per-slot
-    /// activity is reported in *base-netlist* slot space — a fold
-    /// provenance maps surviving rebuilt gates back onto these slots.
+    /// This is the differential oracle [`run_cone`](Self::run_cone) is
+    /// pinned against. Per-slot activity is reported in *base-netlist*
+    /// slot space — a fold provenance maps surviving rebuilt gates back
+    /// onto these slots.
     ///
     /// # Panics
     ///
@@ -434,116 +379,143 @@ impl CompiledNetlist {
     pub fn run_masked_with_activity(
         &self,
         packed: &PackedStimulus,
-        mask: &[(pax_netlist::NetId, bool)],
+        mask: &[(NetId, bool)],
     ) -> SimResult {
-        let instrs = self.masked_instrs(mask);
+        let mut instrs = self.instrs.clone();
+        let zero = self.n_slots as u32;
+        for &(net, value) in mask {
+            let (at, kind) = self.masked_gate(net);
+            let i = &mut instrs[at];
+            (i.a, i.b, i.c) = const_operands(kind, value, zero, zero + 1);
+        }
         let (outputs, activity) = self.execute_tracked(&instrs, self.n_slots + 2, &packed.inner);
         SimResult::new(activity, outputs)
     }
 
-    /// The unfused tape with `mask` rewritten onto the reserved constant
-    /// slots (shared by both masked-activity paths).
-    fn masked_instrs(&self, mask: &[(pax_netlist::NetId, bool)]) -> Vec<Instr> {
-        let mut instrs = self.instrs.clone();
-        let zero = self.n_slots as u32;
-        let one = zero + 1;
-        for &(net, value) in mask {
-            let at = self.instr_of[net.index()];
-            assert!(at != u32::MAX, "masked net {net} is not a gate instruction");
-            let kind = self.kinds[at as usize];
-            assert!(!kind.is_free(), "masked net {net} is a constant tie");
-            let (a, b, c) = const_operands(kind, value, zero, one);
-            let i = &mut instrs[at as usize];
-            (i.a, i.b, i.c) = (a, b, c);
-        }
-        instrs
-    }
-
-    /// Records one unfused, unmasked run of `packed`: every slot's value
-    /// word per stimulus word, plus the base activity. The trace is the
-    /// fixed input to [`masked_activity`](Self::masked_activity), which
-    /// re-derives masked activity incrementally instead of re-executing
-    /// the whole tape.
-    pub fn trace(&self, packed: &PackedStimulus) -> BaseTrace {
-        let p = &packed.inner;
-        let mut rows = Vec::with_capacity(p.n_words);
-        let (ones, toggles) = self
-            .execute_counted(&self.instrs, self.n_slots, p, |_, vals, _| rows.push(vals.to_vec()));
-        BaseTrace { n_samples: p.n_samples, n_words: p.n_words, rows, ones, toggles }
-    }
-
-    /// Activity of the `mask`ed tape, derived incrementally from a
-    /// [`trace`](Self::trace) of the same stimulus: only instructions
-    /// whose destination is in `affected` are re-executed (reading
-    /// unaffected operands straight from the trace rows), and only
-    /// affected slots are re-counted — everything else merges the base
-    /// counts unchanged.
-    ///
-    /// `affected[slot]` must be `true` for every masked net and every
-    /// net in the masked nets' transitive fanout (the caller already
-    /// walks that cone for timing). Slots outside that set hold values
-    /// word-for-word identical to the base run, which is what makes the
-    /// merge exact: the result is bit-identical to
-    /// [`run_masked_with_activity`](Self::run_masked_with_activity)'s
-    /// activity.
+    /// Tape position and kind of the gate driving the masked `net`.
     ///
     /// # Panics
     ///
-    /// Panics on nets [`run_masked`](Self::run_masked) would reject.
-    pub fn masked_activity(
+    /// Panics if `net` is not driven by a (non-constant) gate
+    /// instruction.
+    fn masked_gate(&self, net: NetId) -> (usize, GateKind) {
+        let at = self.instr_of[net.index()];
+        assert!(at != u32::MAX, "masked net {net} is not a gate instruction");
+        let kind = self.kinds[at as usize];
+        assert!(!kind.is_free(), "masked net {net} is a constant tie");
+        (at as usize, kind)
+    }
+
+    /// Records one unfused, unmasked run of `packed`: every slot's value
+    /// words plus the base activity — the fixed input every
+    /// [`run_cone`](Self::run_cone) call reads.
+    pub fn trace(&self, packed: &PackedStimulus) -> BaseTrace {
+        let p = &packed.inner;
+        let n_words = p.n_words;
+        let mut cols = vec![0u64; self.n_slots * n_words];
+        let (ones, toggles) = self.execute_counted(&self.instrs, self.n_slots, p, |w, vals, _| {
+            for (slot, &v) in vals.iter().enumerate() {
+                cols[slot * n_words + w] = v;
+            }
+        });
+        BaseTrace { n_samples: p.n_samples, n_words, cols, ones, toggles }
+    }
+
+    /// The cone pass: outputs and full activity of the `mask`ed tape,
+    /// from a [`trace`](Self::trace) of the same stimulus, in one pass
+    /// over the affected cone's unfused instructions in tape order.
+    ///
+    /// `mask` is id-sorted `(net, value)` pairs, each pinning that gate
+    /// to a constant through the two reserved constant slots, exactly
+    /// as [`run_masked_with_activity`](Self::run_masked_with_activity)
+    /// does. `affected[slot]` must be `true` for every masked net and
+    /// every net in their transitive fanout; any superset gives the
+    /// same result. Only instructions writing an affected slot execute,
+    /// each over all words at once; every other operand and output bit
+    /// is read from the trace, whose values are word-for-word those of
+    /// the masked run. Only cone slots are re-counted, under
+    /// [`run_masked_with_activity`](Self::run_masked_with_activity)'s
+    /// lane and toggle-boundary rules, so the result equals its bit for
+    /// bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a masked net is not driven by a (non-constant) gate
+    /// instruction of this tape, or lies outside `affected`.
+    pub fn run_cone(
         &self,
         trace: &BaseTrace,
-        mask: &[(pax_netlist::NetId, bool)],
+        mask: &[(NetId, bool)],
         affected: &[bool],
-    ) -> Activity {
-        let instrs = self.masked_instrs(mask);
-        let zero = self.n_slots;
-        let one = zero + 1;
-        // Affected instructions, in tape (topological) order.
-        let sel: Vec<u32> = (0..instrs.len() as u32)
-            .filter(|&at| affected[instrs[at as usize].dst as usize])
-            .collect();
-        let aff_slots: Vec<usize> = (0..self.n_slots).filter(|&s| affected[s]).collect();
+        scratch: &mut ConeScratch,
+    ) -> SimResult {
+        debug_assert!(mask.windows(2).all(|w| w[0].0 < w[1].0), "mask must be id-sorted");
+        let nw = trace.n_words;
+        let zero = self.n_slots as u32;
+        let ConeScratch { col_of, cone, cols } = scratch;
+        col_of.clear();
+        col_of.resize(self.n_slots + 2, u32::MAX);
+        (col_of[zero as usize], col_of[zero as usize + 1]) = (0, 1);
 
+        // The cone in tape (topological) order, masked gates rewired.
+        cone.clear();
+        for (at, i) in self.instrs.iter().enumerate() {
+            if affected[i.dst as usize] {
+                col_of[i.dst as usize] = 2 + cone.len() as u32;
+                cone.push((self.kinds[at], *i));
+            }
+        }
+        for &(net, value) in mask {
+            let (_, kind) = self.masked_gate(net);
+            let col = col_of[net.index()];
+            assert!(col != u32::MAX, "masked net {net} lies outside the affected cone");
+            let i = &mut cone[col as usize - 2].1;
+            (i.a, i.b, i.c) = const_operands(kind, value, zero, zero + 1);
+        }
+
+        cols.resize((2 + cone.len()) * nw, 0);
+        cols[..nw].fill(0);
+        cols[nw..2 * nw].fill(u64::MAX);
         let mut ones = trace.ones.clone();
         let mut toggles = trace.toggles.clone();
-        for &s in &aff_slots {
-            ones[s] = 0;
-            toggles[s] = 0;
-        }
-        let mut prev_msb = vec![0u64; self.n_slots];
-        let mut vals = vec![0u64; self.n_slots + 2];
-        for w in 0..trace.n_words {
-            vals[..self.n_slots].copy_from_slice(&trace.rows[w]);
-            vals[zero] = 0;
-            vals[one] = u64::MAX;
-            for &at in &sel {
-                let i = instrs[at as usize];
-                let a = vals[i.a as usize];
-                let b = vals[i.b as usize];
-                let c = vals[i.c as usize];
-                vals[i.dst as usize] = self.kinds[at as usize].eval_word(a, b, c);
+        for (k, &(kind, i)) in cone.iter().enumerate() {
+            // Operands are constants, earlier cone columns or the trace.
+            let (done, rest) = cols.split_at_mut((2 + k) * nw);
+            let operand = |n: usize, slot: u32| match col_of[slot as usize] {
+                _ if n >= kind.arity() => &done[..nw],
+                u32::MAX => trace.col(slot as usize),
+                c => &done[c as usize * nw..(c as usize + 1) * nw],
+            };
+            let (a, b, c) = (operand(0, i.a), operand(1, i.b), operand(2, i.c));
+            let (mut n_ones, mut n_toggles, mut prev) = (0, 0, 0);
+            for (w, out) in rest[..nw].iter_mut().enumerate() {
+                *out = kind.eval_word(a[w], b[w], c[w]);
+                let (o, t) = count_word(*out, w, trace.n_samples, &mut prev);
+                n_ones += o;
+                n_toggles += t;
             }
-            let valid = (trace.n_samples - w * 64).min(64);
-            let m = if valid == 64 { u64::MAX } else { (1u64 << valid) - 1 };
-            for &s in &aff_slots {
-                let v = vals[s];
-                ones[s] += (v & m).count_ones() as u64;
-                let shifted = (v << 1) | prev_msb[s];
-                let mut diff = (v ^ shifted) & m;
-                if w == 0 {
-                    diff &= !1;
-                }
-                toggles[s] += diff.count_ones() as u64;
-                prev_msb[s] = v >> (valid - 1) & 1;
-            }
+            ones[i.dst as usize] = n_ones;
+            toggles[i.dst as usize] = n_toggles;
         }
-        Activity::new(trace.n_samples, ones, toggles)
+
+        let flat = self
+            .output_slots
+            .iter()
+            .map(|&slot| {
+                let col = match col_of[slot as usize] {
+                    u32::MAX => trace.col(slot as usize),
+                    c => &cols[c as usize * nw..(c as usize + 1) * nw],
+                };
+                col.iter().enumerate().map(|(w, &v)| v & lane_mask(trace.n_samples, w)).collect()
+            })
+            .collect();
+        let n_samples = trace.n_samples;
+        SimResult::new(Activity::new(n_samples, ones, toggles), self.outputs(n_samples, flat))
     }
 
     /// Executes the unfused tape on `stim` with full per-net activity
     /// accounting, producing a [`SimResult`] bit-identical to
-    /// [`simulate`](crate::simulate)'s.
+    /// [`try_simulate`](crate::try_simulate)'s.
     ///
     /// # Errors
     ///
@@ -554,29 +526,20 @@ impl CompiledNetlist {
         Ok(self.run_packed_with_activity(&packed))
     }
 
-    /// Runs the fused plan (base or masked views of its instruction and
-    /// LUT vectors) over all words and flattens the `W`-wide output
-    /// planes back to `u64` words.
-    fn execute_fused<W: Word>(
-        &self,
-        instrs: &[Instr],
-        luts: &[LutInstr],
-        n_vals: usize,
-        packed: &PackedInputs<W>,
-    ) -> SimOutputs {
-        let mut vals = vec![W::zero(); n_vals];
-        if n_vals > self.n_slots {
-            vals[self.n_slots + 1] = W::ones(); // the reserved all-ones slot
-        }
+    /// Runs the fused plan over all words and flattens the `W`-wide
+    /// output planes back to `u64` words.
+    fn execute_fused<W: Word>(&self, packed: &PackedInputs<W>) -> SimOutputs {
+        let FusedTape { instrs, runs, luts, steps } = &self.fused;
+        let mut vals = vec![W::zero(); self.n_slots];
         let n_samples = packed.n_samples;
         let n_words64 = n_samples.div_ceil(64);
         let mut flat: Vec<Vec<u64>> = vec![vec![0u64; n_words64]; self.output_slots.len()];
         for w in 0..packed.n_words {
             load_inputs(packed, w, &mut vals);
-            for step in &self.fused.steps {
+            for step in steps {
                 match *step {
                     Step::Gates(r) => {
-                        let run = self.fused.runs[r as usize];
+                        let run = runs[r as usize];
                         exec_run(run.op, &instrs[run.start as usize..run.end as usize], &mut vals);
                     }
                     Step::Luts { start, end } => {
@@ -600,9 +563,7 @@ impl CompiledNetlist {
                     if g >= n_words64 {
                         break;
                     }
-                    let valid = (n_samples - g * 64).min(64);
-                    let m = if valid == 64 { u64::MAX } else { (1u64 << valid) - 1 };
-                    plane[g] = wv.limb(l) & m;
+                    plane[g] = wv.limb(l) & lane_mask(n_samples, g);
                 }
             }
         }
@@ -652,19 +613,12 @@ impl CompiledNetlist {
         for w in 0..packed.n_words {
             load_inputs(packed, w, &mut vals);
             exec_runs(&self.runs, instrs, &mut vals);
-            let valid = (packed.n_samples - w * 64).min(64);
-            let mask = if valid == 64 { u64::MAX } else { (1u64 << valid) - 1 };
             for (idx, &v) in vals[..self.n_slots].iter().enumerate() {
-                ones[idx] += (v & mask).count_ones() as u64;
-                let shifted = (v << 1) | prev_msb[idx];
-                let mut diff = (v ^ shifted) & mask;
-                if w == 0 {
-                    diff &= !1; // the very first sample has no predecessor
-                }
-                toggles[idx] += diff.count_ones() as u64;
-                prev_msb[idx] = v >> (valid - 1) & 1;
+                let (o, t) = count_word(v, w, packed.n_samples, &mut prev_msb[idx]);
+                ones[idx] += o;
+                toggles[idx] += t;
             }
-            visit(w, &vals, mask);
+            visit(w, &vals, lane_mask(packed.n_samples, w));
         }
         (ones, toggles)
     }
@@ -679,6 +633,34 @@ impl CompiledNetlist {
         }
         SimOutputs::new(n_samples, port_words)
     }
+}
+
+/// Valid-lane mask of 64-lane word `w` of an `n_samples` run: every
+/// lane of a full word, the valid low lanes of the tail word.
+#[inline]
+fn lane_mask(n_samples: usize, w: usize) -> u64 {
+    let valid = (n_samples - w * 64).min(64);
+    if valid == 64 {
+        u64::MAX
+    } else {
+        (1u64 << valid) - 1
+    }
+}
+
+/// One slot's `(ones, toggles)` over 64-lane word `w` of an `n_samples`
+/// run, under the rules every activity path shares: only valid lanes
+/// count, and the run's first sample has no predecessor. `prev` carries
+/// the slot's value on the previous word's last valid lane.
+#[inline]
+fn count_word(v: u64, w: usize, n_samples: usize, prev: &mut u64) -> (u64, u64) {
+    let valid = (n_samples - w * 64).min(64);
+    let mask = lane_mask(n_samples, w);
+    let mut diff = (v ^ ((v << 1) | *prev)) & mask;
+    if w == 0 {
+        diff &= !1; // the very first sample has no predecessor
+    }
+    *prev = v >> (valid - 1) & 1;
+    (u64::from((v & mask).count_ones()), u64::from(diff.count_ones()))
 }
 
 #[inline]
@@ -763,7 +745,7 @@ fn exec_run<W: Word>(op: GateKind, instrs: &[Instr], vals: &mut [W]) {
 /// given the reserved all-`zero` and all-`one` slots. Every non-free
 /// kind can produce both constants from those two streams, so masked
 /// execution never has to alter run grouping or instruction kinds.
-pub(crate) fn const_operands(kind: GateKind, value: bool, zero: u32, one: u32) -> (u32, u32, u32) {
+fn const_operands(kind: GateKind, value: bool, zero: u32, one: u32) -> (u32, u32, u32) {
     use GateKind::*;
     // `t`: fill that makes the gate output `value` for monotone kinds;
     // `f`: the inverted fill for the negated kinds.
@@ -785,7 +767,7 @@ pub(crate) fn const_operands(kind: GateKind, value: bool, zero: u32, one: u32) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simulate;
+    use crate::try_simulate;
     use pax_netlist::{NetId, NetlistBuilder};
 
     /// A netlist exercising every gate kind on shared inputs.
@@ -839,13 +821,56 @@ mod tests {
         stim
     }
 
+    /// The masked nets plus their transitive fanout (node ids are a
+    /// topological order).
+    fn fanout_cone(nl: &Netlist, mask: &[(NetId, bool)]) -> Vec<bool> {
+        let mut affected = vec![false; nl.len()];
+        for &(net, _) in mask {
+            affected[net.index()] = true;
+        }
+        for (id, node) in nl.iter() {
+            if let Node::Gate(g) = node {
+                if g.inputs().iter().any(|i| affected[i.index()]) {
+                    affected[id.index()] = true;
+                }
+            }
+        }
+        affected
+    }
+
+    /// The cone pass over `mask`'s fanout cone, with fresh scratch.
+    fn cone_pass(
+        nl: &Netlist,
+        c: &CompiledNetlist,
+        trace: &BaseTrace,
+        mask: &[(NetId, bool)],
+    ) -> SimResult {
+        c.run_cone(trace, mask, &fanout_cone(nl, mask), &mut ConeScratch::default())
+    }
+
+    /// Asserts equal output ports and equal per-net ones and toggles.
+    fn assert_same(nl: &Netlist, got: &SimResult, want: &SimResult, what: &str) {
+        for p in nl.output_ports() {
+            assert_eq!(got.port_values(&p.name), want.port_values(&p.name), "{what}: {}", p.name);
+        }
+        for i in 0..nl.len() {
+            let net = NetId::from_index(i);
+            assert_eq!(got.activity.ones(net), want.activity.ones(net), "{what}: ones {i}");
+            assert_eq!(
+                got.activity.toggles(net),
+                want.activity.toggles(net),
+                "{what}: toggles {i}"
+            );
+        }
+    }
+
     #[test]
     fn compiled_matches_interpreter_on_all_gate_kinds() {
         let nl = all_kinds_netlist();
         let compiled = CompiledNetlist::compile(&nl);
         // 40 repeats → 320 samples → 5 words; exercises word boundaries.
         let stim = exhaustive_stim(3, 40);
-        let reference = simulate(&nl, &stim);
+        let reference = try_simulate(&nl, &stim).unwrap();
         let got = compiled.run_with_activity(&stim).unwrap();
         assert_eq!(got.port_values("y"), reference.port_values("y"));
         for i in 0..nl.len() {
@@ -874,37 +899,32 @@ mod tests {
         );
         // 5 repeats → 320 samples: exercises both word widths.
         let stim = exhaustive_stim(6, 5);
-        let reference = simulate(&nl, &stim);
+        let reference = try_simulate(&nl, &stim).unwrap();
         assert_eq!(compiled.run(&stim).unwrap().port_values("y"), reference.port_values("y"));
         let packed = compiled.pack(&stim).unwrap();
         assert_eq!(compiled.run_packed(&packed).port_values("y"), reference.port_values("y"));
 
-        // Masks internal to the cone re-derive its table; masks on the
-        // cone output splat it. Both must equal the unfused oracle.
+        // Masks inside the fused cone and on its output: the cone pass
+        // runs the unfused tape, so both equal the unfused oracle.
+        let trace = compiled.trace(&packed);
         let mut nets = internals.clone();
         nets.push(out);
         for &net in &nets {
             for value in [false, true] {
-                let fused = compiled.run_masked(&packed, &[(net, value)]);
+                let got = cone_pass(&nl, &compiled, &trace, &[(net, value)]);
                 let oracle = compiled.run_masked_with_activity(&packed, &[(net, value)]);
-                assert_eq!(
-                    fused.port_values("y"),
-                    oracle.port_values("y"),
-                    "net {net} value {value}"
-                );
+                assert_same(&nl, &got, &oracle, &format!("net {net} value {value}"));
             }
         }
-        // Multiple ties inside one cone compose.
+        // Multiple masks inside one cone compose.
         let pair = [(internals[0], true), (internals[2], false)];
-        let fused = compiled.run_masked(&packed, &pair);
-        let oracle = compiled.run_masked_with_activity(&packed, &pair);
-        assert_eq!(fused.port_values("y"), oracle.port_values("y"));
-        // An internal tie plus an output splat: the output mask wins.
+        let got = cone_pass(&nl, &compiled, &trace, &pair);
+        assert_same(&nl, &got, &compiled.run_masked_with_activity(&packed, &pair), "pair");
+        // A mask inside the cone plus one on its output: the output wins.
         let both = [(internals[1], true), (out, false)];
-        let fused = compiled.run_masked(&packed, &both);
-        let oracle = compiled.run_masked_with_activity(&packed, &both);
-        assert_eq!(fused.port_values("y"), oracle.port_values("y"));
-        assert_eq!(fused.port_values("y"), vec![0; fused.n_samples()]);
+        let got = cone_pass(&nl, &compiled, &trace, &both);
+        assert_same(&nl, &got, &compiled.run_masked_with_activity(&packed, &both), "both");
+        assert_eq!(got.port_values("y"), vec![0; got.n_samples]);
     }
 
     #[test]
@@ -926,19 +946,6 @@ mod tests {
             assert_eq!(wide.port_values("y"), narrow.port_values("y"), "n={n}");
             // `run` picks the width itself; it must agree with both.
             assert_eq!(compiled.run(&stim).unwrap().port_values("y"), narrow.port_values("y"));
-            // Masked execution agrees across widths too.
-            let mask_net = nl
-                .iter()
-                .find_map(|(id, node)| match node {
-                    Node::Gate(g) if !g.kind.is_free() => Some(id),
-                    _ => None,
-                })
-                .expect("gate present");
-            let narrow_masked =
-                compiled.run_masked(&compiled.pack(&stim).unwrap(), &[(mask_net, true)]);
-            let wide_masked =
-                compiled.run_masked(&compiled.pack_wide(&stim).unwrap(), &[(mask_net, true)]);
-            assert_eq!(wide_masked.port_values("y"), narrow_masked.port_values("y"), "n={n}");
         }
     }
 
@@ -957,38 +964,57 @@ mod tests {
             assert_eq!(base.ones(net), full.activity.ones(net), "base ones {i}");
             assert_eq!(base.toggles(net), full.activity.toggles(net), "base toggles {i}");
         }
-        // Delta recompute equals the full masked tracked run, for masks
-        // on internal cone nets and on the cone output alike.
+        // The cone pass equals the full masked tracked run, for masks
+        // on internal cone nets and on the cone output alike, whether
+        // `affected` is the exact fanout cone or every slot.
         let mut nets = internals.clone();
         nets.push(out);
+        let everything = vec![true; nl.len()];
         for &net in &nets {
             for value in [false, true] {
-                // Affected = the masked net plus its transitive fanout.
-                let mut affected = vec![false; nl.len()];
-                affected[net.index()] = true;
-                for (id, node) in nl.iter() {
-                    if let Node::Gate(g) = node {
-                        if g.inputs().iter().any(|i| affected[i.index()]) {
-                            affected[id.index()] = true;
-                        }
-                    }
-                }
-                let delta = compiled.masked_activity(&trace, &[(net, value)], &affected);
-                let oracle = compiled.run_masked_with_activity(&packed, &[(net, value)]);
-                for i in 0..nl.len() {
-                    let n = NetId::from_index(i);
-                    assert_eq!(
-                        delta.ones(n),
-                        oracle.activity.ones(n),
-                        "ones net {i} mask {net}={value}"
-                    );
-                    assert_eq!(
-                        delta.toggles(n),
-                        oracle.activity.toggles(n),
-                        "toggles net {i} mask {net}={value}"
-                    );
-                }
+                let mask = [(net, value)];
+                let oracle = compiled.run_masked_with_activity(&packed, &mask);
+                let what = format!("mask {net}={value}");
+                assert_same(&nl, &cone_pass(&nl, &compiled, &trace, &mask), &oracle, &what);
+                let all =
+                    compiled.run_cone(&trace, &mask, &everything, &mut ConeScratch::default());
+                assert_same(&nl, &all, &oracle, &format!("{what}, all affected"));
             }
+        }
+    }
+
+    #[test]
+    fn mask_chain_matches_masked_oracles() {
+        // Two outputs over shared logic.
+        let mut b = NetlistBuilder::new("d");
+        let x = b.input_port("x", 5);
+        let t1 = b.and2(x[0], x[1]);
+        let t2 = b.or2(t1, x[2]);
+        let t3 = b.xor2(t2, x[3]);
+        let t4 = b.nand2(t1, x[4]);
+        let t5 = b.mux(x[4], t3, t2);
+        b.output_port("y", vec![t3, t5].into());
+        b.output_port("z", vec![t4].into());
+        let nl = b.finish();
+        let nets = [t1, t2, t3, t4, t5];
+        let tape = CompiledNetlist::compile(&nl);
+        let packed = tape.pack(&exhaustive_stim(5, 3)).unwrap(); // 96 samples: a tail word
+        let trace = tape.trace(&packed);
+        // One scratch across the chain: reuse must not leak state.
+        let mut scratch = ConeScratch::default();
+        let chain: Vec<Vec<(NetId, bool)>> = vec![
+            vec![],
+            vec![(nets[0], true)],
+            vec![(nets[0], true), (nets[3], false)],
+            vec![(nets[0], false), (nets[3], false)], // re-valued net
+            vec![(nets[3], false)],
+            vec![(nets[1], true), (nets[2], false), (nets[4], true)],
+            vec![],
+        ];
+        for mask in &chain {
+            let got = tape.run_cone(&trace, mask, &fanout_cone(&nl, mask), &mut scratch);
+            let oracle = tape.run_masked_with_activity(&packed, mask);
+            assert_same(&nl, &got, &oracle, &format!("mask {mask:?}"));
         }
     }
 
@@ -996,7 +1022,7 @@ mod tests {
     fn many_word_runs_match_the_interpreter() {
         let nl = all_kinds_netlist();
         let stim = exhaustive_stim(3, 100); // 800 samples, 13 words
-        let reference = simulate(&nl, &stim);
+        let reference = try_simulate(&nl, &stim).unwrap();
         let compiled = CompiledNetlist::compile(&nl);
         let got = compiled.run_with_activity(&stim).unwrap();
         assert_eq!(got.port_values("y"), reference.port_values("y"));
@@ -1064,6 +1090,7 @@ mod tests {
         let compiled = CompiledNetlist::compile(&nl);
         let stim = exhaustive_stim(3, 40);
         let packed = compiled.pack(&stim).unwrap();
+        let trace = compiled.trace(&packed);
         // Mask every non-free gate in turn, to both constants: the
         // masked slot must stream exactly that constant, and every
         // other gate must behave as if it read it.
@@ -1080,9 +1107,9 @@ mod tests {
                 let n = got.n_samples as u64;
                 assert_eq!(got.activity.ones(g), if value { n } else { 0 }, "gate {g}");
                 assert_eq!(got.activity.toggles(g), 0, "gate {g}");
-                // The fused activity-off path returns the same ports.
-                let fused = compiled.run_masked(&packed, &[(g, value)]);
-                assert_eq!(fused.port_values("y"), got.port_values("y"), "fused gate {g}");
+                // The cone pass returns the same ports and activity.
+                let cone = cone_pass(&nl, &compiled, &trace, &[(g, value)]);
+                assert_same(&nl, &cone, &got, &format!("cone pass, gate {g}"));
                 // Reference: rebuild the netlist with the gate's output
                 // bit replaced by a constant in the output port.
                 let y = nl.output_ports()[0].clone();
@@ -1127,10 +1154,11 @@ mod tests {
             .expect("AND3 present");
         let c = CompiledNetlist::compile(&nl);
         let packed = c.pack(&stim).unwrap();
-        // The fused masked path agrees with the unfused tracked one.
+        let trace = c.trace(&packed);
+        // The cone pass agrees with the unfused tracked masked run.
         let tracked = c.run_masked_with_activity(&packed, &[(mask_net, true)]);
-        let fused = c.run_masked(&packed, &[(mask_net, true)]);
-        assert_eq!(fused.port_values("y"), tracked.port_values("y"));
+        let cone = cone_pass(&nl, &c, &trace, &[(mask_net, true)]);
+        assert_same(&nl, &cone, &tracked, "masked AND3");
         // The packed entry points agree with the stimulus-taking ones.
         assert_eq!(packed.n_samples(), 800);
         let a = c.run_packed_with_activity(&packed);
@@ -1138,13 +1166,8 @@ mod tests {
         assert_eq!(a.port_values("y"), b.port_values("y"));
         assert_eq!(c.run_packed(&packed).port_values("y"), b.port_values("y"));
         // An empty mask degenerates to the unmasked run.
-        let m = c.run_masked(&packed, &[]);
-        assert_eq!(m.port_values("y"), b.port_values("y"));
-        let ma = c.run_masked_with_activity(&packed, &[]);
-        for i in 0..nl.len() {
-            let net = NetId::from_index(i);
-            assert_eq!(ma.activity.toggles(net), b.activity.toggles(net));
-        }
+        assert_same(&nl, &cone_pass(&nl, &c, &trace, &[]), &b, "empty mask, cone pass");
+        assert_same(&nl, &c.run_masked_with_activity(&packed, &[]), &b, "empty mask, oracle");
     }
 
     #[test]
@@ -1154,7 +1177,18 @@ mod tests {
         let compiled = CompiledNetlist::compile(&nl);
         let packed = compiled.pack(&exhaustive_stim(3, 2)).unwrap();
         let input_net = nl.input_ports()[0].bits[0];
-        let _ = compiled.run_masked(&packed, &[(input_net, true)]);
+        let _ = cone_pass(&nl, &compiled, &compiled.trace(&packed), &[(input_net, true)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the affected cone")]
+    fn masking_outside_the_affected_cone_panics() {
+        let (nl, internals, _) = cone_netlist();
+        let compiled = CompiledNetlist::compile(&nl);
+        let trace = compiled.trace(&compiled.pack(&exhaustive_stim(6, 1)).unwrap());
+        let nothing = vec![false; nl.len()];
+        let mask = [(internals[0], true)];
+        let _ = compiled.run_cone(&trace, &mask, &nothing, &mut ConeScratch::default());
     }
 
     #[test]
@@ -1175,7 +1209,7 @@ mod tests {
             let samples: Vec<u64> = (0..n).map(|i| (i % 8) as u64).collect();
             let mut stim = Stimulus::new();
             stim.port("x", samples);
-            let reference = simulate(&nl, &stim);
+            let reference = try_simulate(&nl, &stim).unwrap();
             let got = compiled.run_with_activity(&stim).unwrap();
             assert_eq!(got.port_values("y"), reference.port_values("y"), "n={n}");
             for i in 0..nl.len() {

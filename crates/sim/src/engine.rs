@@ -188,17 +188,6 @@ pub(crate) fn pack_inputs<W: Word>(
 /// one netlist, compile it once with
 /// [`CompiledNetlist`](crate::CompiledNetlist) instead.
 ///
-/// # Panics
-///
-/// Panics if an input port has no samples, if a sample does not fit its
-/// port width, or if the stimulus is empty. Use [`try_simulate`] to get
-/// a typed [`SimError`] instead.
-pub fn simulate(nl: &Netlist, stim: &Stimulus) -> SimResult {
-    try_simulate(nl, stim).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Non-panicking [`simulate`]: malformed stimuli surface as [`SimError`].
-///
 /// # Errors
 ///
 /// Returns [`SimError`] when the stimulus is empty, misses an input
@@ -308,7 +297,7 @@ mod tests {
         let ys: Vec<u64> = (0..200).map(|i| (i * 13 + 1) % 16).collect();
         let mut stim = Stimulus::new();
         stim.port("x", xs.clone()).port("y", ys.clone());
-        let res = simulate(&nl, &stim);
+        let res = try_simulate(&nl, &stim).unwrap();
         for s in 0..200 {
             let reference = eval::eval_ports(&nl, &[("x", xs[s]), ("y", ys[s])]);
             assert_eq!(res.port_sample("s", s), reference["s"], "sample {s}");
@@ -329,7 +318,7 @@ mod tests {
         let samples: Vec<u64> = (0..130).map(|i| (i % 2) as u64).collect();
         let mut stim = Stimulus::new();
         stim.port("x", samples);
-        let res = simulate(&nl, &stim);
+        let res = try_simulate(&nl, &stim).unwrap();
         // x toggles every sample: 129 transitions.
         assert_eq!(res.activity.toggles(x[0]), 129);
         assert_eq!(res.activity.toggles(nx), 129);
@@ -347,36 +336,11 @@ mod tests {
         let samples: Vec<u64> = (0..100).map(|i| u64::from(i % 10 != 0)).collect();
         let mut stim = Stimulus::new();
         stim.port("x", samples);
-        let res = simulate(&nl, &stim);
+        let res = try_simulate(&nl, &stim).unwrap();
         let x0 = nl.input_ports()[0].bits[0];
         let (tau, value) = res.activity.tau(x0);
         assert!((tau - 0.9).abs() < 1e-12);
         assert!(value);
-    }
-
-    #[test]
-    #[should_panic(expected = "misses input port")]
-    fn missing_port_panics() {
-        let nl = adder_netlist();
-        let mut stim = Stimulus::new();
-        stim.port("x", vec![0]);
-        let _ = simulate(&nl, &stim);
-    }
-
-    #[test]
-    #[should_panic(expected = "does not fit port")]
-    fn oversized_sample_panics() {
-        let nl = adder_netlist();
-        let mut stim = Stimulus::new();
-        stim.port("x", vec![16]).port("y", vec![0]);
-        let _ = simulate(&nl, &stim);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty stimulus")]
-    fn empty_stimulus_panics() {
-        let nl = adder_netlist();
-        let _ = simulate(&nl, &Stimulus::new());
     }
 
     #[test]
@@ -402,5 +366,29 @@ mod tests {
         let mut ragged = Stimulus::new();
         ragged.port("x", vec![0, 1]).port("y", vec![0]);
         assert!(matches!(try_simulate(&nl, &ragged), Err(SimError::SampleCountMismatch { .. })));
+    }
+
+    /// The message of `try_simulate`'s error on `stim`.
+    fn error_message(stim: &Stimulus) -> String {
+        try_simulate(&adder_netlist(), stim).unwrap_err().to_string()
+    }
+
+    #[test]
+    fn missing_port_is_a_typed_error() {
+        let mut stim = Stimulus::new();
+        stim.port("x", vec![0]);
+        assert!(error_message(&stim).contains("misses input port `y`"));
+    }
+
+    #[test]
+    fn oversized_sample_is_a_typed_error() {
+        let mut stim = Stimulus::new();
+        stim.port("x", vec![16]).port("y", vec![0]);
+        assert!(error_message(&stim).contains("does not fit port `x`"));
+    }
+
+    #[test]
+    fn empty_stimulus_is_a_typed_error() {
+        assert!(error_message(&Stimulus::new()).contains("empty stimulus"));
     }
 }

@@ -1,20 +1,17 @@
 //! Typed simulation errors.
 //!
-//! The stimulus-packing path used to `panic!` on malformed testbenches,
-//! which is fine for offline studies but poisons a serving worker when a
-//! malformed batch slips through. Both evaluation paths ([`simulate`]
-//! via [`try_simulate`] and [`CompiledNetlist::run`]) surface these
-//! errors instead; the panicking wrappers remain for study code that
-//! treats a malformed testbench as a bug.
+//! A malformed testbench must not poison a serving worker, so both
+//! evaluation paths ([`try_simulate`] and [`CompiledNetlist::run`]) and
+//! the stimulus-taking helpers (`compare`, `vcd`) surface these errors
+//! instead of panicking; study code that treats a malformed testbench
+//! as a bug calls `.expect(..)` on them.
 //!
-//! [`simulate`]: crate::simulate
 //! [`try_simulate`]: crate::try_simulate
 //! [`CompiledNetlist::run`]: crate::CompiledNetlist::run
 
 /// Why a simulation request could not be executed.
 ///
-/// `Display` messages keep the phrasing of the historical panics so
-/// existing `#[should_panic(expected = ...)]` pins keep matching.
+/// `Display` messages keep the phrasing of the historical panics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
     /// The stimulus provides no samples at all.

@@ -14,11 +14,11 @@
 //!   (dominant in EGT logic), switching energy × toggle density × clock,
 //!   plus a constant I/O floor.
 //!
-//! # Two evaluation paths: `simulate` vs [`CompiledNetlist`]
+//! # Two evaluation paths: `try_simulate` vs [`CompiledNetlist`]
 //!
-//! [`simulate`] interprets the netlist node list directly — zero setup
-//! cost, always collects activity. [`CompiledNetlist`] compiles the
-//! netlist once into a levelized, kind-grouped instruction tape —
+//! [`try_simulate`] interprets the netlist node list directly — zero
+//! setup cost, always collects activity. [`CompiledNetlist`] compiles
+//! the netlist once into a levelized, kind-grouped instruction tape —
 //! fusing single-fanout gate cones into k-input table lookups — and
 //! executes it word by word on the calling thread, with activity
 //! accounting opt-in. The
@@ -26,24 +26,27 @@
 //! or 256 lanes ([`W256`]), picked automatically by stimulus size.
 //!
 //! * Evaluating a netlist **once** (debugging, a single measurement):
-//!   use [`simulate`].
+//!   use [`try_simulate`].
 //! * Evaluating the same netlist **many times** (serving batches, the
 //!   pruning search, accuracy sweeps): compile once, call
 //!   [`CompiledNetlist::run`] per batch — or
 //!   [`CompiledNetlist::run_with_activity`] when τ/power statistics are
 //!   needed.
+//! * Evaluating **masked variants** of one netlist (the pruning
+//!   search's candidates): record one [`CompiledNetlist::trace`], then
+//!   one [`CompiledNetlist::run_cone`] per mask re-executes only the
+//!   masked gates' fanout.
 //!
-//! Both paths are bit-for-bit equivalent (outputs, ones, toggles) —
+//! All paths are bit-for-bit equivalent (outputs, ones, toggles) —
 //! pinned against the scalar `eval_ports` reference by the differential
 //! property suite in `tests/proptest_engine.rs`. Malformed stimuli
-//! surface as [`SimError`] through [`try_simulate`] and the compiled
-//! entry points; the [`simulate`] wrapper keeps the historical panics.
+//! surface as [`SimError`].
 //!
 //! # Examples
 //!
 //! ```
 //! use pax_netlist::NetlistBuilder;
-//! use pax_sim::{simulate, Stimulus};
+//! use pax_sim::{try_simulate, Stimulus};
 //!
 //! let mut b = NetlistBuilder::new("xor");
 //! let x = b.input_port("x", 1);
@@ -55,7 +58,7 @@
 //! let mut stim = Stimulus::new();
 //! stim.port("x", vec![0, 0, 1, 1]);
 //! stim.port("y", vec![0, 1, 0, 1]);
-//! let result = simulate(&nl, &stim);
+//! let result = try_simulate(&nl, &stim).expect("the stimulus drives both ports");
 //! assert_eq!(result.port_values("z"), vec![0, 1, 1, 0]);
 //! // z transitions 0→1 and 1→0 across the four samples.
 //! assert_eq!(result.activity.toggles(g), 2);
@@ -67,7 +70,6 @@
 mod activity;
 pub mod compare;
 mod compiled;
-mod delta;
 mod engine;
 mod error;
 mod fuse;
@@ -78,9 +80,8 @@ pub mod vcd;
 mod word;
 
 pub use activity::Activity;
-pub use compiled::{BaseTrace, CompiledNetlist, PackedStimulus};
-pub use delta::DeltaSim;
-pub use engine::{simulate, try_simulate, SimOutputs, SimResult};
+pub use compiled::{BaseTrace, CompiledNetlist, ConeScratch, PackedStimulus};
+pub use engine::{try_simulate, SimOutputs, SimResult};
 pub use error::SimError;
 pub use stimulus::Stimulus;
 pub use word::{Word, W256};

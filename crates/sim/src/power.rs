@@ -59,7 +59,7 @@ impl std::fmt::Display for PowerReport {
 ///
 /// ```
 /// use pax_netlist::NetlistBuilder;
-/// use pax_sim::{power::power, simulate, Stimulus};
+/// use pax_sim::{power::power, try_simulate, Stimulus};
 ///
 /// let mut b = NetlistBuilder::new("p");
 /// let x = b.input_port("x", 2);
@@ -68,7 +68,7 @@ impl std::fmt::Display for PowerReport {
 /// let nl = b.finish();
 /// let mut stim = Stimulus::new();
 /// stim.port("x", vec![0, 1, 2, 3]);
-/// let res = simulate(&nl, &stim);
+/// let res = try_simulate(&nl, &stim).expect("the stimulus drives port x");
 /// let lib = egt_pdk::egt_library();
 /// let tech = egt_pdk::TechParams::egt();
 /// let report = power(&nl, &lib, &tech, &res.activity)?;
@@ -105,7 +105,7 @@ pub fn power(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{simulate, Stimulus};
+    use crate::{try_simulate, Stimulus};
     use pax_netlist::NetlistBuilder;
 
     fn two_gate_netlist() -> Netlist {
@@ -124,7 +124,7 @@ mod tests {
         let tech = egt_pdk::TechParams::egt();
         let mut stim = Stimulus::new();
         stim.port("x", vec![0, 0, 0, 0]); // no switching at all
-        let res = simulate(&nl, &stim);
+        let res = try_simulate(&nl, &stim).unwrap();
         let report = power(&nl, &lib, &tech, &res.activity).unwrap();
         let expect =
             (lib.cell("XOR2").unwrap().static_uw + lib.cell("NAND2").unwrap().static_uw) * 1e-3;
@@ -141,12 +141,12 @@ mod tests {
         let idle = {
             let mut stim = Stimulus::new();
             stim.port("x", vec![0; 64]);
-            simulate(&nl, &stim)
+            try_simulate(&nl, &stim).unwrap()
         };
         let busy = {
             let mut stim = Stimulus::new();
             stim.port("x", (0..64).map(|i| i % 4).collect());
-            simulate(&nl, &stim)
+            try_simulate(&nl, &stim).unwrap()
         };
         let p_idle = power(&nl, &lib, &tech, &idle.activity).unwrap();
         let p_busy = power(&nl, &lib, &tech, &busy.activity).unwrap();

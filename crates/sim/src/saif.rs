@@ -75,8 +75,14 @@ pub fn parse(text: &str) -> Result<SaifData, String> {
     }
     let duration: u64 = tokens[1].parse().map_err(|_| "invalid duration")?;
     let n_nets: usize = tokens[3].parse().map_err(|_| "invalid net count")?;
+    // Every net needs a line of its own, so a count the text cannot
+    // back is rejected before it sizes an allocation.
+    let left = lines.clone().count();
+    if n_nets > left {
+        return Err(format!("header declares {n_nets} nets but only {left} lines follow"));
+    }
 
-    let mut records = vec![(0u64, 0u64, 0u64); n_nets];
+    let mut records: Vec<Option<(u64, u64, u64)>> = vec![None; n_nets];
     let mut seen = 0usize;
     for line in lines {
         let line = line.trim();
@@ -99,19 +105,21 @@ pub fn parse(text: &str) -> Result<SaifData, String> {
             return Err(format!("net index {idx} out of bounds ({n_nets} nets)"));
         }
         let parse_u64 = |s: &str| s.parse::<u64>().map_err(|_| format!("bad number `{s}`"));
-        records[idx] = (parse_u64(t[2])?, parse_u64(t[4])?, parse_u64(t[6])?);
+        let record = (parse_u64(t[2])?, parse_u64(t[4])?, parse_u64(t[6])?);
+        if records[idx].replace(record).is_some() {
+            return Err(format!("net n{idx} has two records"));
+        }
         seen += 1;
     }
-    if seen != n_nets {
-        return Err(format!("expected {n_nets} records, found {seen}"));
-    }
+    let records: Option<Vec<_>> = records.into_iter().collect();
+    let records = records.ok_or_else(|| format!("expected {n_nets} records, found {seen}"))?;
     Ok(SaifData { design: design.to_owned(), duration, records })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{simulate, Stimulus};
+    use crate::{try_simulate, Stimulus};
     use pax_netlist::NetlistBuilder;
 
     fn simulated() -> (pax_netlist::Netlist, Activity) {
@@ -122,7 +130,7 @@ mod tests {
         let nl = b.finish();
         let mut stim = Stimulus::new();
         stim.port("x", vec![0, 1, 2, 3, 3, 2, 1, 0, 1, 1]);
-        let act = simulate(&nl, &stim).activity;
+        let act = try_simulate(&nl, &stim).expect("valid stimulus").activity;
         (nl, act)
     }
 
@@ -156,5 +164,18 @@ mod tests {
             parse("saif \"x\" duration 5 nets 1 {\n n9 T0 1 T1 4 TC 0;\n}").is_err(),
             "out-of-bounds index must fail"
         );
+    }
+
+    #[test]
+    fn net_count_beyond_the_text_is_rejected_before_allocating() {
+        let err = parse("saif \"x\" duration 5 nets 1000000000000 {").unwrap_err();
+        assert!(err.contains("1000000000000 nets"), "{err}");
+    }
+
+    #[test]
+    fn a_net_recorded_twice_is_rejected() {
+        let text = "saif \"x\" duration 5 nets 2 {\n n0 T0 1 T1 4 TC 0;\n n0 T0 2 T1 3 TC 1;\n}";
+        let err = parse(text).unwrap_err();
+        assert!(err.contains("n0 has two records"), "{err}");
     }
 }

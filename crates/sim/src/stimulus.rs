@@ -63,18 +63,8 @@ impl Stimulus {
         self.ports.get(name).map(Vec::as_slice)
     }
 
-    /// Number of samples (0 when empty).
-    ///
-    /// # Panics
-    ///
-    /// Panics if ports disagree on sample count — that is a malformed
-    /// testbench. Use [`Stimulus::try_n_samples`] for a typed error.
-    pub fn n_samples(&self) -> usize {
-        self.try_n_samples().unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Number of samples (0 when empty), with disagreeing ports surfaced
-    /// as a typed error instead of a panic.
+    /// as a typed error.
     ///
     /// # Errors
     ///
@@ -112,28 +102,30 @@ mod tests {
     fn sample_count_consistency() {
         let mut s = Stimulus::new();
         s.port("a", vec![1, 2, 3]).port("b", vec![0, 0, 1]);
-        assert_eq!(s.n_samples(), 3);
+        assert_eq!(s.try_n_samples(), Ok(3));
         assert_eq!(s.samples("a"), Some(&[1, 2, 3][..]));
         assert_eq!(s.samples("c"), None);
     }
 
     #[test]
-    #[should_panic(expected = "samples")]
-    fn mismatched_counts_panic() {
+    fn mismatched_counts_are_typed_errors() {
         let mut s = Stimulus::new();
         s.port("a", vec![1]).port("b", vec![0, 1]);
-        let _ = s.n_samples();
+        assert_eq!(
+            s.try_n_samples(),
+            Err(SimError::SampleCountMismatch { port: "b".into(), got: 2, expected: 1 })
+        );
     }
 
     #[test]
     fn empty_stimulus_has_zero_samples() {
-        assert_eq!(Stimulus::new().n_samples(), 0);
+        assert_eq!(Stimulus::new().try_n_samples(), Ok(0));
     }
 
     #[test]
     fn from_rows_transposes() {
         let s = Stimulus::from_rows(["a", "b"], &[vec![1, 10], vec![2, 20], vec![3, 30]]);
-        assert_eq!(s.n_samples(), 3);
+        assert_eq!(s.try_n_samples(), Ok(3));
         assert_eq!(s.samples("a"), Some(&[1u64, 2, 3][..]));
         assert_eq!(s.samples("b"), Some(&[10u64, 20, 30][..]));
     }

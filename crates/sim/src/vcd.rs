@@ -10,17 +10,27 @@ use std::fmt::Write as _;
 
 use pax_netlist::{Netlist, Node};
 
-use crate::Stimulus;
+use crate::{SimError, Stimulus};
 
 /// Renders the VCD of all *port* signals over the stimulus.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the stimulus is empty or does not match the netlist's
-/// input ports (same conditions as [`crate::simulate`]).
-pub fn to_vcd(nl: &Netlist, stim: &Stimulus) -> String {
-    let n = stim.n_samples();
-    assert!(n > 0, "empty stimulus");
+/// Returns [`SimError`] if the stimulus is empty, its ports disagree on
+/// sample counts, or it misses one of the netlist's input ports.
+pub fn to_vcd(nl: &Netlist, stim: &Stimulus) -> Result<String, SimError> {
+    let n = stim.try_n_samples()?;
+    if n == 0 {
+        return Err(SimError::EmptyStimulus);
+    }
+    let inputs: Vec<&[u64]> = nl
+        .input_ports()
+        .iter()
+        .map(|p| {
+            stim.samples(&p.name).ok_or_else(|| SimError::MissingPort { port: p.name.clone() })
+        })
+        .collect::<Result<_, _>>()?;
+    let input_bit = |port: u16, bit: u16, s: usize| inputs[usize::from(port)][s] >> bit & 1 == 1;
 
     // Collect the traced nets: all input and output port bits.
     let mut traced: Vec<(String, pax_netlist::NetId)> = Vec::new();
@@ -46,13 +56,7 @@ pub fn to_vcd(nl: &Netlist, stim: &Stimulus) -> String {
     for s in 0..n {
         for (id, node) in nl.iter() {
             vals[id.index()] = match node {
-                Node::Input { port, bit } => {
-                    let p = &nl.input_ports()[*port as usize];
-                    let samples = stim
-                        .samples(&p.name)
-                        .unwrap_or_else(|| panic!("stimulus misses port `{}`", p.name));
-                    samples[s] >> bit & 1 == 1
-                }
+                Node::Input { port, bit } => input_bit(*port, *bit, s),
                 Node::Gate(g) => {
                     let ins: Vec<bool> = g.inputs().iter().map(|i| vals[i.index()]).collect();
                     g.kind.eval_bool(&ins)
@@ -73,7 +77,7 @@ pub fn to_vcd(nl: &Netlist, stim: &Stimulus) -> String {
         }
     }
     let _ = writeln!(out, "#{n}");
-    out
+    Ok(out)
 }
 
 /// Compact VCD identifier for signal `i` (printable ASCII, base-94).
@@ -107,7 +111,7 @@ mod tests {
         let nl = xor_netlist();
         let mut stim = Stimulus::new();
         stim.port("x", vec![0b00, 0b01, 0b01, 0b10, 0b11]);
-        let vcd = to_vcd(&nl, &stim);
+        let vcd = to_vcd(&nl, &stim).unwrap();
         assert!(vcd.contains("$enddefinitions"));
         assert!(vcd.contains("$var wire 1 ! x[0] $end"));
         assert!(vcd.contains("$scope module w"));
@@ -129,9 +133,18 @@ mod tests {
         let nl = xor_netlist();
         let mut stim = Stimulus::new();
         stim.port("x", vec![0b01; 10]); // constant after sample 0
-        let vcd = to_vcd(&nl, &stim);
+        let vcd = to_vcd(&nl, &stim).unwrap();
         assert!(vcd.contains("#0\n"));
         assert!(!vcd.contains("#4\n"), "no change → no marker");
+    }
+
+    #[test]
+    fn malformed_stimuli_are_typed_errors() {
+        let nl = xor_netlist();
+        assert_eq!(to_vcd(&nl, &Stimulus::new()), Err(SimError::EmptyStimulus));
+        let mut other = Stimulus::new();
+        other.port("z", vec![0, 1]);
+        assert_eq!(to_vcd(&nl, &other), Err(SimError::MissingPort { port: "x".into() }));
     }
 
     #[test]

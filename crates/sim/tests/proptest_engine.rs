@@ -1,7 +1,7 @@
 //! Differential testing: every evaluation path must agree bit-for-bit.
 //!
 //! The scalar evaluator (`pax_netlist::eval`) is the reference. The
-//! bit-parallel interpreter (`simulate`) and the compiled tape
+//! bit-parallel interpreter (`try_simulate`) and the compiled tape
 //! (`CompiledNetlist`) are pinned to it on arbitrary random circuits
 //! and stimuli — functional outputs *and* per-net activity (ones,
 //! toggles), including across 64-sample word boundaries.
@@ -12,7 +12,7 @@
 use std::collections::BTreeMap;
 
 use pax_netlist::{eval, NetId, Netlist, NetlistBuilder, Node};
-use pax_sim::{compare, simulate, CompiledNetlist, Stimulus};
+use pax_sim::{compare, try_simulate, CompiledNetlist, ConeScratch, Stimulus};
 use pax_synth::{bits, constmul, csa};
 use proptest::prelude::*;
 
@@ -149,7 +149,7 @@ proptest! {
         }
         let mut stim = Stimulus::new();
         stim.port("x1", v1.clone()).port("x2", v2.clone());
-        let res = simulate(&nl, &stim);
+        let res = try_simulate(&nl, &stim).expect("valid stimulus");
         for s_idx in 0..n_samples {
             let expect = eval::eval_ports(&nl, &[("x1", v1[s_idx]), ("x2", v2[s_idx])]);
             prop_assert_eq!(res.port_sample("s", s_idx), expect["s"]);
@@ -173,7 +173,7 @@ proptest! {
         };
         let nl = build("m");
         let opt = pax_synth::opt::optimize(&nl);
-        prop_assert!(compare::compare(&nl, &opt, 0).is_equivalent());
+        prop_assert!(compare::compare(&nl, &opt, 0).expect("exhaustive stimulus").is_equivalent());
     }
 
     /// The differential pin: on random netlists × random stimuli, the
@@ -187,7 +187,7 @@ proptest! {
     ) {
         let nl = random_netlist(seed, n_gates);
         let stim = random_stimulus(&nl, seed ^ 0xD1F, n_samples);
-        let interp = simulate(&nl, &stim);
+        let interp = try_simulate(&nl, &stim).expect("valid stimulus");
         let compiled = CompiledNetlist::compile(&nl);
         let tape = compiled.run_with_activity(&stim).expect("valid stimulus");
         let fast = compiled.run(&stim).expect("valid stimulus");
@@ -248,7 +248,7 @@ proptest! {
         b.output_port("s", s);
         let nl = b.finish();
         let stim = random_stimulus(&nl, seed, n_samples);
-        let interp = simulate(&nl, &stim);
+        let interp = try_simulate(&nl, &stim).expect("valid stimulus");
         let tape = CompiledNetlist::compile(&nl).run_with_activity(&stim).expect("valid stimulus");
         prop_assert_eq!(interp.port_values("s"), tape.port_values("s"));
         for i in 0..nl.len() {
@@ -281,22 +281,22 @@ proptest! {
         }
     }
 
-    /// Fused masked execution (residual-gate rewrites, cone-internal
-    /// table re-derivation, cone-output splats) equals the unfused
-    /// masked oracle on random netlists × random masks, at both word
-    /// widths.
+    /// The cone pass equals the unfused masked oracle on random
+    /// netlists × random id-sorted masks: every output port and every
+    /// net's ones and toggles — with `affected` as the masked nets'
+    /// fanout cone, and with every slot affected (any superset of the
+    /// cone gives the same result). One scratch serves both runs.
     #[test]
-    fn fused_masked_matches_unfused_oracle(
+    fn cone_pass_matches_unfused_masked_oracle(
         seed in any::<u64>(),
         n_gates in 1usize..90,
-        n_samples in 1usize..300,
+        n_samples in 1usize..=300,
         n_mask in 0usize..8,
     ) {
         let nl = random_netlist(seed, n_gates);
         let stim = random_stimulus(&nl, seed ^ 0xFACE, n_samples);
         let compiled = CompiledNetlist::compile(&nl);
-        // Maskable nets: gate-driven, not constant ties. Random picks
-        // land on residual gates, cone internals and cone outputs alike.
+        // Maskable nets: gate-driven, not constant ties.
         let candidates: Vec<NetId> = nl
             .iter()
             .filter_map(|(id, node)| match node {
@@ -315,20 +315,38 @@ proptest! {
                 mask.push((net, next(&mut state) & 1 == 1));
             }
         }
+        mask.sort_unstable_by_key(|&(n, _)| n);
+        // The masked nets' transitive fanout (ids are topological).
+        let mut cone = vec![false; nl.len()];
+        for &(net, _) in &mask {
+            cone[net.index()] = true;
+        }
+        for (id, node) in nl.iter() {
+            if let Node::Gate(g) = node {
+                if g.inputs().iter().any(|i| cone[i.index()]) {
+                    cone[id.index()] = true;
+                }
+            }
+        }
         let packed = compiled.pack(&stim).expect("valid stimulus");
+        let trace = compiled.trace(&packed);
         let oracle = compiled.run_masked_with_activity(&packed, &mask);
-        let fused = compiled.run_masked(&packed, &mask);
-        let wide = compiled.pack_wide(&stim).expect("valid stimulus");
-        let fused_wide = compiled.run_masked(&wide, &mask);
-        for p in nl.output_ports() {
-            prop_assert_eq!(
-                fused.port_values(&p.name), oracle.port_values(&p.name),
-                "fused masked diverges from oracle on {} (mask {:?})", p.name, mask
-            );
-            prop_assert_eq!(
-                fused_wide.port_values(&p.name), oracle.port_values(&p.name),
-                "wide fused masked diverges from oracle on {} (mask {:?})", p.name, mask
-            );
+        let mut scratch = ConeScratch::default();
+        for affected in [cone, vec![true; nl.len()]] {
+            let got = compiled.run_cone(&trace, &mask, &affected, &mut scratch);
+            for p in nl.output_ports() {
+                prop_assert_eq!(
+                    got.port_values(&p.name), oracle.port_values(&p.name),
+                    "cone pass diverges from oracle on {} (mask {:?})", p.name, mask
+                );
+            }
+            for i in 0..nl.len() {
+                let net = NetId::from_index(i);
+                prop_assert_eq!(got.activity.ones(net), oracle.activity.ones(net), "ones net {}", i);
+                prop_assert_eq!(
+                    got.activity.toggles(net), oracle.activity.toggles(net), "toggles net {}", i
+                );
+            }
         }
     }
 
@@ -343,7 +361,7 @@ proptest! {
         let nl = b.finish();
         let mut stim = Stimulus::new();
         stim.port("x", samples.clone());
-        let res = simulate(&nl, &stim);
+        let res = try_simulate(&nl, &stim).expect("valid stimulus");
         let expect: u64 = samples.windows(2).map(|p| u64::from(p[0] != p[1])).sum();
         prop_assert_eq!(res.activity.toggles(x[0]), expect);
         let ones: u64 = samples.iter().sum();

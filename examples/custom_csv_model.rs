@@ -74,7 +74,7 @@ fn main() {
     std::fs::write(out_dir.join("design.dot"), pax_netlist::dot::to_dot(&netlist))
         .expect("write dot");
     let stim = pax_bespoke::stimulus_for(&model, &test);
-    let sim = pax_sim::simulate(&netlist, &stim);
+    let sim = pax_sim::try_simulate(&netlist, &stim).expect("the test set drives every input");
     std::fs::write(out_dir.join("design.saif"), pax_sim::saif::to_saif(&netlist, &sim.activity))
         .expect("write saif");
     println!("wrote design.v / design.dot / design.saif under {}", out_dir.display());

@@ -7,7 +7,7 @@ use pax_core::prune::{analyze, apply_set, enumerate_grid, PruneConfig};
 use pax_ml::quant::{QuantSpec, QuantizedModel};
 use pax_ml::synth_data::{blobs, ordinal, OrdinalSpec};
 use pax_netlist::eval;
-use pax_sim::simulate;
+use pax_sim::try_simulate;
 use pax_synth::opt;
 
 fn classifier_setup() -> (BespokeCircuit, pax_ml::Dataset, pax_ml::Dataset) {
@@ -57,7 +57,8 @@ fn score_error_bounded_by_phi() {
     for (circuit, train, test) in [classifier_setup(), regressor_setup()] {
         let analysis = analyze(&circuit.netlist, &circuit.model, &train);
         let grid = enumerate_grid(&analysis, &PruneConfig::default());
-        let base_sim = simulate(&circuit.netlist, &stimulus_for(&circuit.model, &test));
+        let base_sim = try_simulate(&circuit.netlist, &stimulus_for(&circuit.model, &test))
+            .expect("valid stimulus");
 
         // Check a few representative combos, including aggressive ones.
         for combo in grid.combos.iter().step_by(grid.combos.len().div_ceil(8).max(1)) {
@@ -65,7 +66,8 @@ fn score_error_bounded_by_phi() {
             // Gates with φ = −1 (argmax internals) do not touch score
             // buses at all; the bound below covers them trivially.
             let pruned = apply_set(&circuit.netlist, &analysis, set);
-            let pruned_sim = simulate(&pruned, &stimulus_for(&circuit.model, &test));
+            let pruned_sim = try_simulate(&pruned, &stimulus_for(&circuit.model, &test))
+                .expect("valid stimulus");
             let bound = 1i64 << (combo.phi_c + 1).max(0);
             for port in circuit.netlist.output_ports() {
                 if !port.name.starts_with("score") {
@@ -102,8 +104,10 @@ fn fully_constant_gates_prune_for_free_on_train() {
         .filter(|&g| analysis.tau_of(g) >= 1.0 - 1e-12)
         .collect();
     let pruned = apply_set(&circuit.netlist, &analysis, &set);
-    let base = simulate(&circuit.netlist, &stimulus_for(&circuit.model, &train));
-    let after = simulate(&pruned, &stimulus_for(&circuit.model, &train));
+    let base = try_simulate(&circuit.netlist, &stimulus_for(&circuit.model, &train))
+        .expect("valid stimulus");
+    let after =
+        try_simulate(&pruned, &stimulus_for(&circuit.model, &train)).expect("valid stimulus");
     for s in 0..train.len() {
         assert_eq!(
             base.port_sample("class", s),

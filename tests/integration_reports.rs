@@ -7,7 +7,7 @@ use pax_core::framework::{Framework, FrameworkConfig};
 use pax_core::report;
 use pax_ml::quant::{QuantSpec, QuantizedModel};
 use pax_ml::synth_data::blobs;
-use pax_sim::simulate;
+use pax_sim::try_simulate;
 
 fn setup() -> (pax_core::framework::CircuitStudy, BespokeCircuit, pax_ml::Dataset, QuantizedModel) {
     let data = blobs("rp", 260, 3, 3, 0.1, 13);
@@ -89,7 +89,7 @@ fn dot_export_is_renderable_graphviz() {
 #[test]
 fn saif_roundtrips_through_file_and_matches_activity() {
     let (_, circuit, test, model) = setup();
-    let sim = simulate(&circuit.netlist, &stimulus_for(&model, &test));
+    let sim = try_simulate(&circuit.netlist, &stimulus_for(&model, &test)).expect("valid stimulus");
     let text = pax_sim::saif::to_saif(&circuit.netlist, &sim.activity);
     let path = std::env::temp_dir().join("pax_integration.saif");
     std::fs::write(&path, &text).unwrap();
