@@ -149,29 +149,29 @@ fn bench(c: &mut Criterion) {
         (0..STUDY_SAMPLES).map(|i| rows[i % rows.len()].clone()).collect();
     let study_stim = stimulus_for_rows(&model, &study_rows);
     let compiled = CompiledNetlist::compile(&netlist);
-    // Bit-identity self-check before any number is recorded: the fused
-    // tape (`run`), the unfused activity-tracked tape
+    // Bit-identity self-check before any number is recorded: the
+    // functional tape run (`run`), the activity-tracked run
     // (`run_with_activity`) and the interpreter must agree on every
     // output port of the study stimulus.
     {
-        let fused = compiled.run(&study_stim).unwrap();
+        let plain = compiled.run(&study_stim).unwrap();
         let tracked = compiled.run_with_activity(&study_stim).unwrap();
         let interp = try_simulate(&netlist, &study_stim).expect("valid stimulus");
         for p in netlist.output_ports() {
             assert_eq!(
-                fused.port_values(&p.name),
+                plain.port_values(&p.name),
                 tracked.port_values(&p.name),
-                "fused vs unfused tape diverge on {}",
+                "functional vs activity-tracked run diverge on {}",
                 p.name
             );
             assert_eq!(
-                fused.port_values(&p.name),
+                plain.port_values(&p.name),
                 interp.port_values(&p.name),
-                "fused tape vs interpreter diverge on {}",
+                "compiled tape vs interpreter diverge on {}",
                 p.name
             );
         }
-        println!("# self-check: fused == unfused == interpreted on all output ports");
+        println!("# self-check: compiled == activity-tracked == interpreted on all output ports");
     }
     let interp_s = time_it(
         || {
@@ -191,19 +191,19 @@ fn bench(c: &mut Criterion) {
         },
         reps,
     );
-    // Serving packs once per batch and executes the fused tape
+    // Serving packs once per batch and executes the tape
     // (`run_packed`), so the pre-packed execution rate is the number
     // batched serving rides on; `run` above additionally pays per-call
     // packing.
     let packed_narrow = compiled.pack(&study_stim).unwrap();
     let packed_wide = compiled.pack_wide(&study_stim).unwrap();
-    let fused_narrow_s = time_it(
+    let packed_narrow_s = time_it(
         || {
             black_box(compiled.run_packed(&packed_narrow));
         },
         reps,
     );
-    let fused_wide_s = time_it(
+    let packed_wide_s = time_it(
         || {
             black_box(compiled.run_packed(&packed_wide));
         },
@@ -212,19 +212,17 @@ fn bench(c: &mut Criterion) {
     let interp_rate = STUDY_SAMPLES as f64 / interp_s;
     println!("# interpreter vs compiled — {STUDY_SAMPLES} samples/iteration, {reps} reps");
     println!(
-        "# fused tape: {} instructions ({} residual gates + {} LUT cones) vs {} unfused",
-        compiled.n_fused_instructions(),
-        compiled.n_fused_instructions() - compiled.n_luts(),
-        compiled.n_luts(),
+        "# compiled tape: {} instructions in {} single-kind runs",
         compiled.n_instructions(),
+        compiled.n_runs(),
     );
     println!("# {:<34} {:>14} {:>12}", "variant", "samples/sec", "vs interp");
     println!("# {:<34} {:>14.0} {:>11.1}x", "simulate (interpreted, activity)", interp_rate, 1.0);
     for (label, secs) in [
         ("compiled + activity", compiled_act_s),
         ("compiled, no activity", compiled_s),
-        ("fused pre-packed, 64-lane words", fused_narrow_s),
-        ("fused pre-packed, 256-lane words", fused_wide_s),
+        ("pre-packed, 64-lane words", packed_narrow_s),
+        ("pre-packed, 256-lane words", packed_wide_s),
     ] {
         let rate = STUDY_SAMPLES as f64 / secs;
         println!("# {:<34} {:>14.0} {:>11.1}x", label, rate, rate / interp_rate);
@@ -233,10 +231,7 @@ fn bench(c: &mut Criterion) {
         "# compiled (no activity) vs interpreted simulate: {:.1}x (acceptance bar: 3x)",
         interp_s / compiled_s
     );
-    println!(
-        "# fused 256-lane vs 64-lane pre-packed execution: {:.1}x",
-        fused_narrow_s / fused_wide_s
-    );
+    println!("# 256-lane vs 64-lane pre-packed execution: {:.1}x", packed_narrow_s / packed_wide_s);
     // --- Criterion-tracked benchmarks --------------------------------
     for &batch in &BATCH_SIZES {
         let chunks: Vec<Vec<Vec<i64>>> = rows.chunks(batch).map(<[_]>::to_vec).collect();

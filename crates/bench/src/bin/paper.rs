@@ -11,7 +11,6 @@
 //! paper explore                # grid vs NSGA-II search (BENCH_explore.json)
 //! paper prune_eval             # A/B: rebuild vs overlay evaluation (BENCH_prune_eval.json)
 //! paper coeff_eval             # A/B: stacked coeff+prune, rebuild vs overlay (BENCH_coeff_eval.json)
-//! paper delta_eval             # A/B: fresh folds vs delta sessions (BENCH_delta_eval.json)
 //! paper fabric_eval            # A/B: in-process vs serve-fabric evaluation (BENCH_fabric_eval.json)
 //! paper obs                    # journalled NSGA-II study + journal verification
 //! paper all                    # everything
@@ -42,7 +41,7 @@ struct Options {
 fn main() {
     let mut args = std::env::args().skip(1);
     let Some(command) = args.next() else {
-        eprintln!("usage: paper <table1|table2|table3|fig1|fig2|fig3|proxy|quant|explore|prune_eval|delta_eval|coeff_eval|fabric_eval|obs|all> [--out DIR] [--quick] [--circuit STR]");
+        eprintln!("usage: paper <table1|table2|table3|fig1|fig2|fig3|proxy|quant|explore|prune_eval|coeff_eval|fabric_eval|obs|all> [--out DIR] [--quick] [--circuit STR]");
         std::process::exit(2);
     };
     let mut opts = Options { out: None, quick: false, circuit: None };

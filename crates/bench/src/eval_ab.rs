@@ -1,5 +1,5 @@
-//! The four A/B candidate-evaluation studies behind
-//! `BENCH_{prune,coeff,delta,fabric}_eval.json`, in one harness.
+//! The three A/B candidate-evaluation studies behind
+//! `BENCH_{prune,coeff,fabric}_eval.json`, in one harness.
 //!
 //! Each study sends the same candidates down two evaluation paths —
 //! side A, the reference, and side B, the path under test — checks that
@@ -10,7 +10,6 @@
 //! |---|---|---|---|
 //! | `prune_eval` | `EvalMode::Rebuild` | `EvalMode::Overlay` | evaluator construction + engine run (grid, then NSGA-II) |
 //! | `coeff_eval` | rebuild | overlay, both on the joint coeff × prune grid | engine run (every gene's context is built beforehand; its cost is a counter) |
-//! | `delta_eval` | `OverlayContext::evaluate` (fresh folds) | `OverlayContext::evaluate_with_session` (refolder replay, same simulation) | 8 sweeps over the distinct grid sets in lexicographic order, one thread |
 //! | `fabric_eval` | in-process evaluator | `Evaluator::with_fabric` on a fresh `ServeEngine` tenant | tenant registration + evaluator construction + engine run (grid, then NSGA-II) |
 //!
 //! Every side runs best-of-3, the same for both sides. The acceptance
@@ -28,11 +27,11 @@ use pax_core::explore::{
     ExhaustiveGrid, Nsga2, Nsga2Config,
 };
 use pax_core::framework::{Framework, FrameworkConfig};
-use pax_core::prune::{enumerate_grid, OverlayContext, PruneAnalysis, PruneConfig, PruneEval};
+use pax_core::prune::{PruneAnalysis, PruneConfig};
 use pax_core::DesignPoint;
 use pax_ml::quant::ModelKind;
 use pax_ml::synth_data::SynthConfig;
-use pax_netlist::{NetId, Netlist};
+use pax_netlist::Netlist;
 use pax_serve::{EngineConfig, ServeEngine, TenantOptions};
 
 use crate::catalog::{train_entry, DatasetId, Entry};
@@ -42,24 +41,17 @@ use crate::table1::tech_for;
 /// sheds scheduler noise).
 const REPEATS: usize = 3;
 
-/// Grid sweeps in one timed `delta_eval` run. Each sweep evaluates
-/// every distinct grid set once, so the figure is per-candidate cost at
-/// steady state, not tape construction.
-const SWEEPS: usize = 8;
-
 /// The graded widths `coeff_eval`'s coefficient axis opens (gene level
 /// `k` → `LEVELS[k - 1]`; level 0 is always exact).
 const LEVELS: [i64; 2] = [2, 4];
 
-/// One of the four A/B evaluation studies.
+/// One of the three A/B evaluation studies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Study {
     /// Rebuild pipeline vs overlay evaluation.
     Prune,
     /// Rebuild vs overlay on the joint coefficient × pruning grid.
     Coeff,
-    /// Fresh folds vs refolder replay on one overlay, same simulation.
-    Delta,
     /// In-process vs serve-fabric evaluation.
     Fabric,
 }
@@ -75,7 +67,7 @@ struct Spec {
 }
 
 /// Every study's labels and acceptance bar, in [`Study`] order.
-const SPECS: [Spec; 4] = [
+const SPECS: [Spec; 3] = [
     Spec {
         name: "prune_eval",
         heading: "Candidate evaluation — rebuild pipeline vs overlay on the shared tape",
@@ -91,13 +83,6 @@ const SPECS: [Spec; 4] = [
         bar: 2.0,
     },
     Spec {
-        name: "delta_eval",
-        heading: "Candidate evaluation — fresh folds vs refolder replay (same simulation) at steady state",
-        a: "fresh",
-        b: "delta",
-        bar: 1.5,
-    },
-    Spec {
         name: "fabric_eval",
         heading: "Candidate evaluation — in-process overlay vs the serve-engine fabric",
         a: "in-process",
@@ -108,7 +93,7 @@ const SPECS: [Spec; 4] = [
 
 impl Study {
     /// Every study, in `paper all` order.
-    pub const ALL: [Study; 4] = [Study::Prune, Study::Coeff, Study::Delta, Study::Fabric];
+    pub const ALL: [Study; 3] = [Study::Prune, Study::Coeff, Study::Fabric];
 
     fn spec(self) -> &'static Spec {
         &SPECS[self as usize]
@@ -184,11 +169,6 @@ type Measured = (Candidate, [u64; 5]);
 fn point_bits(c: Candidate, p: &DesignPoint) -> Measured {
     let (acc, area, power, delay) = (p.accuracy, p.area_mm2, p.power_mw, p.critical_ms);
     (c, [acc.to_bits(), area.to_bits(), power.to_bits(), delay.to_bits(), p.gate_count as u64])
-}
-
-fn eval_bits(c: Candidate, e: &PruneEval) -> Measured {
-    let (acc, area, power, delay) = (e.accuracy, e.area_mm2, e.power_mw, e.critical_ms);
-    (c, [acc.to_bits(), area.to_bits(), power.to_bits(), delay.to_bits(), e.gate_count as u64])
 }
 
 /// What one run of a side returns: its measurements in order and the
@@ -350,65 +330,6 @@ fn coeff_row(c: &Circuit<'_>) -> Row {
     row
 }
 
-/// `delta_eval`: fresh folds against refolder replay through delta
-/// sessions, each side on its own overlay over the exact base; both run
-/// the same cone-pass simulation. Both walk the distinct grid sets in
-/// lexicographic order — the longest unbroken lattice chain, and the
-/// order the evaluator's workers walk — on one thread, with a fresh
-/// session per sweep.
-fn delta_row(c: &Circuit<'_>) -> Row {
-    let grid = enumerate_grid(&c.analysis, c.prune());
-    // Each distinct set, with the first grid genome that selects it.
-    let mut sets: Vec<(Candidate, &[NetId])> = Vec::new();
-    let mut seen = vec![false; grid.sets.len()];
-    for combo in &grid.combos {
-        if !std::mem::replace(&mut seen[combo.set], true) {
-            let genome =
-                Candidate { coeff: CoeffGene::exact(), tau_c: combo.tau_c, phi_c: combo.phi_c };
-            sets.push((genome, &grid.sets[combo.set]));
-        }
-    }
-    sets.sort_by(|x, y| x.1.cmp(y.1));
-    let overlay = || {
-        OverlayContext::new(
-            c.base.clone(),
-            c.entry.model.clone(),
-            c.entry.test.clone(),
-            c.fw.library(),
-            &c.fw.config().tech,
-        )
-        .expect("overlay over the catalog library")
-    };
-    let (fresh, delta) = (overlay(), overlay());
-    let mut row = compare(Study::Delta, c, "grid", |side| {
-        let ctx = if side == Side::A { &fresh } else { &delta };
-        let mut out = Vec::new();
-        for _ in 0..SWEEPS {
-            let mut session = (side == Side::B).then(|| ctx.delta_session());
-            out = sets
-                .iter()
-                .map(|&(genome, set)| {
-                    let e = match &mut session {
-                        Some(session) => ctx.evaluate_with_session(&c.analysis, set, session),
-                        None => ctx.evaluate(&c.analysis, set),
-                    }
-                    .expect("sweep evaluation");
-                    eval_bits(genome, &e)
-                })
-                .collect();
-        }
-        Sample { measured: out, candidates: sets.len() * SWEEPS }
-    });
-    let stats = delta.delta_stats();
-    row.counters = vec![
-        ("sweeps", SWEEPS as f64),
-        ("delta_folds", stats.delta_folds as f64),
-        ("full_folds", stats.full_folds as f64),
-        ("mean_delta_nets", stats.mean_delta().unwrap_or(0.0)),
-    ];
-    row
-}
-
 /// `fabric_eval`: the same searches in-process and through a fresh
 /// tenant of one serve engine per repetition.
 fn fabric_rows(c: &Circuit<'_>, seed: u64) -> Vec<Row> {
@@ -443,7 +364,6 @@ fn run_entry(study: Study, entry: &Entry, seed: u64) -> Vec<Row> {
             search(&c.evaluator().with_mode(mode), c.prune(), nsga)
         }),
         Study::Coeff => vec![coeff_row(&c)],
-        Study::Delta => vec![delta_row(&c)],
         Study::Fabric => fabric_rows(&c, seed),
     }
 }
@@ -590,12 +510,6 @@ mod tests {
     fn coeff_eval_runs_and_modes_agree() {
         let rows = check(Study::Coeff);
         assert_eq!(counter(&rows[0], "genes"), Some(3.0), "exact + two graded levels");
-    }
-
-    #[test]
-    fn delta_eval_runs_and_paths_agree() {
-        let rows = check(Study::Delta);
-        assert!(counter(&rows[0], "delta_folds").unwrap() > 0.0, "the chain never took a delta");
     }
 
     #[test]

@@ -18,12 +18,11 @@
 //!   matched evaluation budgets (the `BENCH_explore.json` study);
 //! * [`obs`] — a journalled NSGA-II study plus read-back verification
 //!   of the `pax_obs` search journal and evaluation-phase spans;
-//! * [`eval_ab`] — the four A/B candidate-evaluation studies in one
-//!   harness (`BENCH_{prune,coeff,delta,fabric}_eval.json`): rebuild
+//! * [`eval_ab`] — the three A/B candidate-evaluation studies in one
+//!   harness (`BENCH_{prune,coeff,fabric}_eval.json`): rebuild
 //!   pipeline versus overlay, the same on the joint coefficient ×
-//!   pruning grid, fresh folds versus refolder replay (same
-//!   simulation), and in-process
-//!   versus serve-fabric evaluation — each with one row schema,
+//!   pruning grid, and in-process versus serve-fabric evaluation —
+//!   each with one row schema,
 //!   best-of-3 timing, a bit-identity check per row and its acceptance
 //!   bar.
 //!
@@ -31,7 +30,7 @@
 //!
 //! ```text
 //! cargo run -p pax-bench --release --bin paper -- table1
-//! cargo run -p pax-bench --release --bin paper -- delta_eval --quick
+//! cargo run -p pax-bench --release --bin paper -- fabric_eval --quick
 //! cargo run -p pax-bench --release --bin paper -- all --out results/
 //! ```
 

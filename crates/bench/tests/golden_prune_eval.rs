@@ -14,7 +14,7 @@
 
 use egt_pdk::TechParams;
 use pax_bench::catalog::{train_entry, DatasetId};
-use pax_core::prune::{analyze, try_evaluate_set_rebuild, OverlayContext};
+use pax_core::prune::{analyze, try_evaluate_set_rebuild, EvalScratch, OverlayContext};
 use pax_ml::quant::ModelKind;
 use pax_ml::synth_data::SynthConfig;
 use pax_netlist::NetId;
@@ -38,7 +38,7 @@ fn cardio_svm_r_design_point_is_pinned() {
     let ctx =
         OverlayContext::new(base.clone(), entry.model.clone(), entry.test.clone(), &lib, &tech)
             .unwrap();
-    let overlay = ctx.evaluate(&analysis, &set).unwrap();
+    let overlay = ctx.evaluate(&analysis, &set, &mut EvalScratch::default()).unwrap();
     let rebuild =
         try_evaluate_set_rebuild(&base, &entry.model, &entry.test, &lib, &tech, &analysis, &set)
             .unwrap();

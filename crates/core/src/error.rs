@@ -15,6 +15,7 @@
 //! [`Framework::try_run_study`]: crate::framework::Framework::try_run_study
 
 use egt_pdk::PdkError;
+use pax_netlist::NetlistError;
 use pax_sim::SimError;
 
 /// Why a study (or a single measurement inside one) could not run.
@@ -26,6 +27,17 @@ pub enum StudyError {
     /// A simulation request was malformed (dataset does not match the
     /// model's ports).
     Sim(SimError),
+    /// The dataset's feature count differs from the model's input count.
+    FeatureMismatch {
+        /// The model's input count.
+        model: usize,
+        /// The dataset's feature count.
+        dataset: usize,
+    },
+    /// The base circuit is not canonical — replaying it through the
+    /// fold rules does not reproduce it, so candidate folds cannot
+    /// index it. Optimize it first (`pax_synth::opt::optimize`).
+    NonCanonicalBase(NetlistError),
     /// A search candidate referenced a base circuit the evaluator was
     /// not given (e.g. a coefficient-approximated candidate against an
     /// evaluator holding only the exact baseline).
@@ -51,6 +63,10 @@ impl std::fmt::Display for StudyError {
         match self {
             StudyError::Library(e) => write!(f, "library does not cover the netlist: {e}"),
             StudyError::Sim(e) => write!(f, "simulation rejected the dataset: {e}"),
+            StudyError::FeatureMismatch { model, dataset } => {
+                write!(f, "dataset has {dataset} features but the model takes {model} inputs")
+            }
+            StudyError::NonCanonicalBase(e) => write!(f, "base circuit is not canonical: {e}"),
             StudyError::MissingContext { gene } => {
                 if gene.is_exact() {
                     write!(f, "no evaluation context for baseline candidates")
@@ -74,7 +90,10 @@ impl std::error::Error for StudyError {
             StudyError::Library(e) => Some(e),
             StudyError::Sim(e) => Some(e),
             StudyError::Fabric(e) => Some(e),
-            StudyError::MissingContext { .. } | StudyError::Journal(_) => None,
+            StudyError::NonCanonicalBase(e) => Some(e),
+            StudyError::FeatureMismatch { .. }
+            | StudyError::MissingContext { .. }
+            | StudyError::Journal(_) => None,
         }
     }
 }

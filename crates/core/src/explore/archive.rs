@@ -285,8 +285,7 @@ impl ParetoArchive {
     /// bypassed: every contribution recomputed from scratch. This is
     /// the differential oracle the incremental path is pinned against
     /// (the two are bit-identical by construction — the cached path
-    /// re-sums all terms in the same forward order) and the
-    /// `delta_eval` benchmark's baseline.
+    /// re-sums all terms in the same forward order).
     ///
     /// # Panics
     ///

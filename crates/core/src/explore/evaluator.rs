@@ -14,16 +14,16 @@
 //! It keeps one table of contexts, one per coefficient gene: the base
 //! circuit with its pruning analysis, and an [`OverlayContext`] built
 //! on first use and shared by `Arc`. Both dispatch shapes read that
-//! table:
+//! table, and both run the same stateless call,
+//! [`OverlayContext::evaluate`]:
 //!
-//! * **local** ([`EvalMode::Overlay`]): fresh work is sorted along the
-//!   gate-set lattice and the [`par`](crate::par) pool's workers take
-//!   contiguous runs of it, each worker evaluating through rolling
-//!   [`DeltaSession`]s. The [`EvalMode::Rebuild`] oracle runs on the
-//!   same pool, one item at a time;
+//! * **local** ([`EvalMode::Overlay`]): the [`par`](crate::par) pool's
+//!   workers take fresh candidates one at a time in batch order, each
+//!   with its own [`EvalScratch`]. The [`EvalMode::Rebuild`] oracle
+//!   runs on the same pool the same way;
 //! * **fabric** ([`EvalMode::Fabric`]): each fresh candidate ships to
-//!   the attached [`EvalFabric`] as one job that folds from scratch
-//!   ([`OverlayContext::evaluate`]) on a clone of the context's `Arc`.
+//!   the attached [`EvalFabric`] as one job, with a clone of the
+//!   context's `Arc` and a scratch of its own.
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -42,7 +42,7 @@ use crate::error::StudyError;
 use crate::mult_cache::MultCache;
 use crate::par;
 use crate::prune::{
-    phase, DeltaFoldStats, DeltaSession, OverlayContext, PruneAnalysis, PruneConfig, PruneEval,
+    phase, DeltaFoldStats, EvalScratch, OverlayContext, PruneAnalysis, PruneConfig, PruneEval,
     EVAL_PHASES,
 };
 use crate::{DesignPoint, Technique};
@@ -436,9 +436,7 @@ impl<'a> Evaluator<'a> {
         self.mode
     }
 
-    /// Cumulative delta/full fold counters summed over every built
-    /// overlay. The split depends on how workers chunked the batch, so
-    /// it is telemetry — never part of determinism comparisons.
+    /// Cumulative cone-fold counters summed over every built overlay.
     pub fn delta_stats(&self) -> DeltaFoldStats {
         let mut stats = DeltaFoldStats::default();
         for shared in self.built() {
@@ -575,61 +573,42 @@ impl<'a> Evaluator<'a> {
         )
     }
 
-    /// Runs the fresh evaluations on the [`par`] pool, whose workers
-    /// take runs from a shared counter (set sizes, and thus costs, vary
-    /// wildly, so static chunking would leave threads idle). In overlay
-    /// mode the work is first sorted along the gate-set lattice — by
-    /// context, then lexicographically by sorted gate set: the order a
-    /// DFS of the set prefix trie visits, so adjacent items share long
-    /// substitution prefixes — and taken in small contiguous runs that
-    /// each worker evaluates through a rolling [`DeltaSession`]. In
-    /// rebuild mode workers take single items and run the legacy
-    /// pipeline. Results are keyed, so the reordering cannot change the
-    /// assembled batch, and the first error stops the pool before it
-    /// drains the remaining (expensive) evaluations.
+    /// Runs the fresh evaluations on the [`par`] pool in batch order.
+    /// Workers take one item at a time from a shared counter (set
+    /// sizes, and thus costs, vary wildly, so static chunking would
+    /// leave threads idle), each keeping one [`EvalScratch`]. Results
+    /// come back in item order, and the first error stops the pool
+    /// before it drains the remaining (expensive) evaluations.
     fn run_local(&self, fresh: &[Fresh]) -> Result<Vec<(u64, PruneEval)>, StudyError> {
-        let mut order: Vec<usize> = (0..fresh.len()).collect();
-        // Rebuilds share nothing between neighbours, so they keep
-        // batch order and single-item runs, which balance their
-        // costlier, uneven work best.
-        let chunk = if self.mode == EvalMode::Rebuild {
-            1
-        } else {
-            order.sort_unstable_by(|&x, &y| {
-                (fresh[x].1, &fresh[x].2).cmp(&(fresh[y].1, &fresh[y].2))
-            });
-            // Contiguous runs big enough that a session amortizes
-            // across lattice neighbours, small enough that the pool
-            // stays balanced on modest batches.
-            (fresh.len() / (self.threads * 4)).clamp(1, 32)
-        };
-        // Per worker: context → rolling session, most recent first.
-        par::try_map(&order, self.threads, chunk, Vec::new, |sessions, &i| {
-            let (key, ctx_idx, set) = &fresh[i];
-            let eval = if self.mode == EvalMode::Rebuild {
-                let b = self.base(*ctx_idx);
-                crate::prune::try_evaluate_set_rebuild(
-                    &b.netlist,
-                    &b.model,
-                    &self.test,
-                    self.lib,
-                    self.tech,
-                    &b.analysis,
-                    set,
-                )
-            } else {
-                self.shared(*ctx_idx).and_then(|s| {
-                    let session = session_for(sessions, *ctx_idx, &s.overlay);
-                    s.overlay.evaluate_with_session(&s.analysis, set, session)
-                })
-            }?;
-            Ok((*key, eval))
-        })
+        par::try_map(
+            fresh,
+            self.threads,
+            1,
+            EvalScratch::default,
+            |scratch, (key, ctx_idx, set)| {
+                let eval = if self.mode == EvalMode::Rebuild {
+                    let b = self.base(*ctx_idx);
+                    crate::prune::try_evaluate_set_rebuild(
+                        &b.netlist,
+                        &b.model,
+                        &self.test,
+                        self.lib,
+                        self.tech,
+                        &b.analysis,
+                        set,
+                    )
+                } else {
+                    self.shared(*ctx_idx)
+                        .and_then(|s| s.overlay.evaluate(&s.analysis, set, scratch))
+                }?;
+                Ok((*key, eval))
+            },
+        )
     }
 
     /// Ships the fresh evaluations to the attached [`EvalFabric`] — one
     /// job per distinct `(context, gate set)`, each holding an `Arc` of
-    /// its context's shared overlay and folding from scratch — and
+    /// its context's shared overlay and a scratch of its own — and
     /// collects their results over a channel. One candidate per job
     /// keeps each job short, so a serve worker is never held for a
     /// whole chunk while requests wait. A job dropped unrun (its tenant
@@ -643,7 +622,10 @@ impl<'a> Evaluator<'a> {
         for (key, ctx_idx, set) in fresh {
             let (shared, tx) = (Arc::clone(self.shared(ctx_idx)?), tx.clone());
             let job = Box::new(move || {
-                let r = shared.overlay.evaluate(&shared.analysis, &set).map(|e| (key, e));
+                let r = shared
+                    .overlay
+                    .evaluate(&shared.analysis, &set, &mut EvalScratch::default())
+                    .map(|e| (key, e));
                 // The receiver is gone when the driving thread already
                 // bailed on an earlier error; nothing left to report.
                 let _ = tx.send(r);
@@ -681,26 +663,6 @@ type ResolvedSet = (usize, Vec<NetId>);
 
 /// One fresh evaluation: `(cache key, context index, sorted gate set)`.
 type Fresh = (u64, usize, Vec<NetId>);
-
-/// The worker's rolling session for `ctx_idx`, moved to the front of a
-/// two-slot LRU — created fresh from `overlay` on a miss, evicting the
-/// colder slot. Two slots suffice: the lattice sort keeps each chunk
-/// within one context, so a worker interleaves at most the chunk
-/// boundary's pair.
-fn session_for<'s>(
-    sessions: &'s mut Vec<(usize, DeltaSession)>,
-    ctx_idx: usize,
-    overlay: &OverlayContext,
-) -> &'s mut DeltaSession {
-    if let Some(p) = sessions.iter().position(|(c, _)| *c == ctx_idx) {
-        let hot = sessions.remove(p);
-        sessions.insert(0, hot);
-    } else {
-        sessions.insert(0, (ctx_idx, overlay.delta_session()));
-        sessions.truncate(2);
-    }
-    &mut sessions[0].1
-}
 
 /// Cache key: the gate-set content hash salted with the context index.
 fn context_set_hash(ctx: usize, set: &[NetId]) -> u64 {

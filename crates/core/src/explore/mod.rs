@@ -388,11 +388,10 @@ pub struct SearchTelemetry {
     pub phases: PhasesSnapshot,
     /// Wall time of the whole ask→evaluate→tell loop, milliseconds.
     pub wall_ms: f64,
-    /// Delta-evaluation counters for this run (again a delta over the
-    /// evaluator's lifetime totals). Excluded from equality alongside
-    /// the nanosecond totals: the delta/full split depends on how the
-    /// worker pool chunked each batch, not on the candidate stream, so
-    /// it may legitimately vary between identical seeded runs.
+    /// Cone-fold counters for this run (again a delta over the
+    /// evaluator's lifetime totals): folds run and base nodes
+    /// re-folded. Excluded from equality alongside the nanosecond
+    /// totals, as telemetry.
     pub delta: DeltaFoldStats,
 }
 

@@ -27,7 +27,7 @@ mod search;
 
 pub use analysis::{analyze, analyze_compiled, PruneAnalysis};
 pub(crate) use overlay::phase;
-pub use overlay::{DeltaFoldStats, DeltaSession, OverlayContext, EVAL_PHASES};
+pub use overlay::{DeltaFoldStats, EvalScratch, OverlayContext, EVAL_PHASES};
 pub(crate) use search::gate_set_hash;
 pub use search::{
     apply_set, enumerate_grid, try_evaluate_set_rebuild, GridCombo, PruneEval, PruneGrid,

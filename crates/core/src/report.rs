@@ -233,24 +233,21 @@ pub fn axis_summary(study: &CircuitStudy) -> String {
 /// point), then one row per evaluation phase with its call count, total
 /// wall time and share of the phase-accounted time. Complements
 /// [`search_summary`] (what was searched) with *where the time went*.
-/// Series that ran delta evaluation get one trailing line each with
-/// the delta-fold hit rate (delta folds over all folds) and the mean
-/// substitution-delta size.
+/// Series that ran overlay evaluation get one trailing line each with
+/// their cone-fold count and mean re-folded nodes per fold.
 pub fn telemetry_summary(study: &CircuitStudy) -> String {
     let mut out =
         String::from("| Series | Front | Hypervolume | Phase | Calls | Wall ms | Share |\n");
     out.push_str("|---|---|---|---|---|---|---|\n");
-    let mut delta_lines = String::new();
+    let mut fold_lines = String::new();
     for (i, s) in study.stats.search.iter().enumerate() {
         let d = &s.telemetry.delta;
-        if let (Some(rate), Some(mean)) = (d.hit_rate(), d.mean_delta()) {
+        if let Some(mean) = d.mean_delta() {
             let _ = writeln!(
-                delta_lines,
-                "Delta folds ({}): {}/{} ({:.0}% hit rate, mean delta {:.1} nets)",
+                fold_lines,
+                "Cone folds ({}): {} (mean {:.1} re-folded nodes)",
                 series_label(i),
                 d.delta_folds,
-                d.delta_folds + d.full_folds,
-                rate * 100.0,
                 mean,
             );
         }
@@ -291,9 +288,9 @@ pub fn telemetry_summary(study: &CircuitStudy) -> String {
             );
         }
     }
-    if !delta_lines.is_empty() {
+    if !fold_lines.is_empty() {
         out.push('\n');
-        out.push_str(&delta_lines);
+        out.push_str(&fold_lines);
     }
     out
 }
@@ -438,9 +435,9 @@ mod tests {
                     },
                     wall_ms: 12.0,
                     delta: crate::prune::DeltaFoldStats {
-                        delta_folds: 30,
-                        full_folds: 10,
-                        delta_nets: 96,
+                        delta_folds: 40,
+                        full_folds: 0,
+                        delta_nets: 128,
                     },
                 },
                 ..Default::default()
@@ -452,11 +449,8 @@ mod tests {
         assert!(md.contains("|  |  |  | masked-sim | 40 | 3.0 | 75% |"), "{md}");
         assert!(!md.contains("| fold |"), "zero-call phases emit no rows: {md}");
         assert!(md.contains("| prune-cross | 0 | — | — | 0 | 0.0 | 0% |"), "{md}");
-        assert!(
-            md.contains("Delta folds (prune-baseline): 30/40 (75% hit rate, mean delta 3.2 nets)"),
-            "{md}"
-        );
-        assert!(!md.contains("Delta folds (prune-cross)"), "fold-free series emit no line: {md}");
+        assert!(md.contains("Cone folds (prune-baseline): 40 (mean 3.2 re-folded nodes)"), "{md}");
+        assert!(!md.contains("Cone folds (prune-cross)"), "fold-free series emit no line: {md}");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Differential pinning of overlay evaluation against the rebuild
 //! pipeline.
 //!
-//! Overlay evaluation (`OverlayContext`: masked shared tape + symbolic
-//! fold + incremental re-timing) replaces the per-candidate
+//! Overlay evaluation (`OverlayContext`: cone pass on the shared tape +
+//! cone fold + incremental re-timing) replaces the per-candidate
 //! re-synthesize/recompile/re-simulate pipeline everywhere. Its
 //! admission ticket is **bit-for-bit equality on every measured axis**
 //! — accuracy, area, power, critical-path delay (and gate counts) —
@@ -12,8 +12,9 @@
 //! Covered here, on real bespoke circuits (classifier *and* regressor,
 //! so both score-decoding paths run):
 //!
-//! * random `(τc, φc)` candidates and every distinct set of the
-//!   paper's grid → bit-equal `PruneEval`s;
+//! * random `(τc, φc)` candidates, random chains of them through one
+//!   reused `EvalScratch`, and every distinct set of the paper's grid
+//!   → bit-equal `PruneEval`s;
 //! * the public `Evaluator` paths (`EvalMode::Overlay` vs
 //!   `EvalMode::Rebuild`) producing identical `DesignPoint`s;
 //! * every `Evaluator` path (overlay, rebuild, fabric) surfacing
@@ -36,8 +37,8 @@ use pax_core::explore::{
 };
 use pax_core::mult_cache::MultCache;
 use pax_core::prune::{
-    analyze, enumerate_grid, try_evaluate_set_rebuild, OverlayContext, PruneAnalysis, PruneConfig,
-    PruneEval,
+    analyze, enumerate_grid, try_evaluate_set_rebuild, EvalScratch, OverlayContext, PruneAnalysis,
+    PruneConfig, PruneEval,
 };
 use pax_core::StudyError;
 use pax_ml::quant::{QuantSpec, QuantizedModel};
@@ -117,7 +118,8 @@ fn check_fixture(f: &Fixture, tau_c: f64, phi_c: i64) {
         &tech,
     )
     .expect("context over the EGT library");
-    let overlay = ctx.evaluate(&f.analysis, &set).expect("overlay evaluation");
+    let overlay =
+        ctx.evaluate(&f.analysis, &set, &mut EvalScratch::default()).expect("overlay evaluation");
     let rebuild = try_evaluate_set_rebuild(
         &f.circuit.netlist,
         &f.circuit.model,
@@ -157,12 +159,12 @@ proptest! {
         check_fixture(&f, tau_c, phi_raw);
     }
 
-    /// One `DeltaSession` reused across a random `(τc, φc)` chain —
+    /// One `EvalScratch` reused across a random `(τc, φc)` chain —
     /// neighbour steps and arbitrary jumps alike — must stay bit-equal
-    /// to a fresh `evaluate` at every link. This is the property the
-    /// evaluator's lattice-ordered worker sessions rely on.
+    /// to the rebuild at every link. This is the property the
+    /// evaluator's per-worker scratches rely on.
     #[test]
-    fn delta_session_chain_equals_fresh_evaluate(
+    fn scratch_chain_equals_rebuild(
         seed in any::<u64>(),
         chain in proptest::collection::vec((0.5f64..1.0, -1i64..12), 2..7),
     ) {
@@ -177,14 +179,21 @@ proptest! {
             &tech,
         )
         .expect("context over the EGT library");
-        let mut session = ctx.delta_session();
+        let mut scratch = EvalScratch::default();
         for (i, &(tau_c, phi_c)) in chain.iter().enumerate() {
             let set = gate_set(&f.analysis, tau_c, phi_c);
-            let fresh = ctx.evaluate(&f.analysis, &set).expect("fresh evaluation");
-            let delta = ctx
-                .evaluate_with_session(&f.analysis, &set, &mut session)
-                .expect("session evaluation");
-            assert_bit_equal(&delta, &fresh, &format!("chain step {i} |set|={}", set.len()));
+            let got = ctx.evaluate(&f.analysis, &set, &mut scratch).expect("overlay evaluation");
+            let rebuild = try_evaluate_set_rebuild(
+                &f.circuit.netlist,
+                &f.circuit.model,
+                &f.test,
+                &lib,
+                &tech,
+                &f.analysis,
+                &set,
+            )
+            .expect("rebuild evaluation");
+            assert_bit_equal(&got, &rebuild, &format!("chain step {i} |set|={}", set.len()));
         }
     }
 }
@@ -221,8 +230,9 @@ fn grid_sweep_is_bit_identical() {
         &tech,
     )
     .unwrap();
+    let mut scratch = EvalScratch::default();
     for (s, want) in grid.sets.iter().zip(&reference) {
-        let got = ctx.evaluate(&f.analysis, s).unwrap();
+        let got = ctx.evaluate(&f.analysis, s, &mut scratch).unwrap();
         assert_bit_equal(&got, want, &format!("|set|={}", s.len()));
     }
 }
@@ -316,9 +326,9 @@ fn grid_evaluation_surfaces_library_errors() {
 }
 
 /// Every fresh evaluation lands in the per-phase call counts and the
-/// fold counters exactly once, whether it ran on the local pool (delta
-/// sessions) or as a fabric job (fresh folds): the evaluator merges
-/// one overlay per context, never two.
+/// fold counters exactly once, whether it ran on the local pool or as
+/// a fabric job: the evaluator merges one overlay per context, never
+/// two.
 #[test]
 fn telemetry_counts_each_evaluation_once() {
     let f = classifier_fixture(4);

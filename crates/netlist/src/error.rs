@@ -26,6 +26,13 @@ pub enum NetlistError {
         /// The input node's net.
         net: NetId,
     },
+    /// Replaying the netlist through the fold rules without a
+    /// substitution does not reproduce it node for node: it is not the
+    /// output of an optimization pass, so a cone fold cannot index it.
+    NotCanonical {
+        /// The first node the replay does not reproduce.
+        net: NetId,
+    },
 }
 
 impl std::fmt::Display for NetlistError {
@@ -40,6 +47,9 @@ impl std::fmt::Display for NetlistError {
             NetlistError::DuplicatePort(name) => write!(f, "duplicate port name `{name}`"),
             NetlistError::InputPortMismatch { net } => {
                 write!(f, "input node {net} does not match its declared port bit")
+            }
+            NetlistError::NotCanonical { net } => {
+                write!(f, "replaying the netlist does not reproduce node {net}; optimize it first")
             }
         }
     }

@@ -33,11 +33,39 @@
 //! of the *base* circuit stand in for a simulation of the pruned one
 //! when accounting switching activity.
 //!
+//! # The cone fold
+//!
+//! A pruning search folds thousands of masks of one base circuit, and
+//! a mask changes only part of it. [`FoldIndex`] records, once per
+//! base, the base's own replay — its nodes, provenance and signature
+//! map — plus its consumer table. [`FoldIndex::fold`] then re-folds,
+//! in id order against that map, only the nodes the mask changes, and
+//! returns the [`FoldedCircuit`] that [`FoldedCircuit::apply_sorted`]
+//! builds, node for node. A node is re-folded (*pending*) when
+//!
+//! * it is masked;
+//! * an operand's image changed;
+//! * a node the replay created earlier took its signature (a *merge*:
+//!   hash-consing keeps the first occurrence, so the base node folds
+//!   into the new one);
+//! * it is a NAND3/NOR3 whose AND3/OR3 companion changed or vanished
+//!   (the NAND3/NOR3 fold looks that companion up).
+//!
+//! Every other node replays to itself. The sweep then needs no fold
+//! rules: one reverse pass marks what reaches an output, and one
+//! forward pass renumbers the live nodes, re-sorts commutative
+//! operands and re-creates a dead AND3/OR3 companion ahead of each
+//! live NAND3/NOR3 — all a sweep of an already-folded replay does.
+//!
+//! The index needs a *canonical* base: one whose replay without a
+//! substitution reproduces it node for node. Every `opt::optimize`
+//! output is; [`FoldIndex::new`] checks it.
+//!
 //! # Examples
 //!
 //! ```
 //! use std::collections::BTreeMap;
-//! use pax_netlist::{fold::FoldedCircuit, NetlistBuilder};
+//! use pax_netlist::{fold::{FoldIndex, FoldScratch, FoldedCircuit}, NetlistBuilder};
 //!
 //! let mut b = NetlistBuilder::new("t");
 //! let x = b.input_port("x", 3);
@@ -51,11 +79,18 @@
 //! subst.insert(a, true);
 //! let folded = FoldedCircuit::apply(&nl, &subst);
 //! assert_eq!(folded.gate_count(), 1); // a single inverter survives
+//!
+//! // The cone fold re-folds only what the mask changes, to the same circuit.
+//! let index = FoldIndex::new(&nl).unwrap();
+//! let mut scratch = FoldScratch::default();
+//! let cone = index.fold(&[(a, true)], &mut scratch);
+//! assert_eq!(cone.nodes(), folded.nodes());
 //! ```
 
 use std::collections::BTreeMap;
 
-use crate::{Gate, GateKind, NetId, Netlist, Node, Port};
+use crate::traverse::Fanout;
+use crate::{Gate, GateKind, NetId, Netlist, NetlistError, Node, Port};
 
 /// Which source-netlist value stream a folded node carries.
 ///
@@ -100,6 +135,20 @@ impl FoldNode {
             FoldNode::Input { .. } => None,
         }
     }
+
+    /// The flat mirror of a netlist node.
+    fn of(node: &Node) -> Self {
+        match node {
+            Node::Input { port, bit } => FoldNode::Input { port: *port, bit: *bit },
+            Node::Gate(g) => {
+                let mut ins = [0u32; 3];
+                for (slot, i) in ins.iter_mut().zip(g.inputs()) {
+                    *slot = i.index() as u32;
+                }
+                FoldNode::Gate { kind: g.kind, ins }
+            }
+        }
+    }
 }
 
 /// The (kind, operands) signature is at most 8 + 3×32 bits, so it packs
@@ -131,10 +180,37 @@ struct SigMap {
     len: usize,
 }
 
+impl Default for SigMap {
+    fn default() -> Self {
+        Self::with_capacity(0)
+    }
+}
+
 impl SigMap {
     fn with_capacity(n: usize) -> Self {
         let cap = (n * 2).next_power_of_two().max(16);
         Self { mask: cap - 1, keys: vec![0; cap], vals: vec![u32::MAX; cap], len: 0 }
+    }
+
+    /// Empties the map, keeping its capacity.
+    fn clear(&mut self) {
+        self.vals.fill(u32::MAX);
+        self.len = 0;
+    }
+
+    /// A read-only lookup.
+    fn get(&self, key: u128) -> Option<u32> {
+        let mut i = sig_hash(key) as usize & self.mask;
+        loop {
+            let v = self.vals[i];
+            if v == u32::MAX {
+                return None;
+            }
+            if self.keys[i] == key {
+                return Some(v);
+            }
+            i = (i + 1) & self.mask;
+        }
     }
 
     /// One probe for the hash-consing pattern: the existing value, or
@@ -165,35 +241,6 @@ impl SigMap {
         self.len += 1;
     }
 
-    /// Deletes `key` (which must be present) by emptying its slot and
-    /// re-inserting the probe cluster behind it — the classic
-    /// linear-probing deletion, correct regardless of insertion order
-    /// or intervening growth. Rewinds delete a handful of young keys,
-    /// so the expected cluster walk is O(1) at our ≤¾ load factor.
-    fn remove(&mut self, key: u128) {
-        let mut i = sig_hash(key) as usize & self.mask;
-        loop {
-            debug_assert_ne!(self.vals[i], u32::MAX, "removing a key that was never inserted");
-            if self.keys[i] == key {
-                break;
-            }
-            i = (i + 1) & self.mask;
-        }
-        self.vals[i] = u32::MAX;
-        self.len -= 1;
-        let mut j = (i + 1) & self.mask;
-        while self.vals[j] != u32::MAX {
-            let (k, v) = (self.keys[j], self.vals[j]);
-            self.vals[j] = u32::MAX;
-            self.len -= 1;
-            match self.get_or_slot(k) {
-                Err(slot) => self.fill(slot, k, v),
-                Ok(_) => unreachable!("duplicate key during cluster re-insert"),
-            }
-            j = (j + 1) & self.mask;
-        }
-    }
-
     fn grow(&mut self) {
         let old_keys = std::mem::replace(&mut self.keys, vec![0; (self.mask + 1) * 2]);
         let old_vals = std::mem::replace(&mut self.vals, vec![u32::MAX; (self.mask + 1) * 2]);
@@ -210,26 +257,35 @@ impl SigMap {
     }
 }
 
+/// A cone-fold mark: the base node is re-folded.
+const PENDING: u8 = 1;
+/// A cone-fold mark: the base node's image is not the node itself.
+const CHANGED: u8 = 2;
+
 /// The symbolic builder: [`NetlistBuilder`]'s folding, canonicalization
 /// and hash-consing rules mirrored method for method on flat arrays.
 /// Any change to the builder's fold rules must be reflected here — the
 /// `proptest_fold` differential suite enforces the equivalence.
 ///
+/// A from-scratch fold owns every node. A cone fold replays against a
+/// [`FoldIndex`]: ids below `base.len()` name the base's nodes, the
+/// builder's own nodes follow, and a signature the builder has not
+/// created yet may resolve to a base node (see
+/// [`base_hit`](Self::base_hit)).
+///
 /// [`NetlistBuilder`]: crate::NetlistBuilder
 #[derive(Debug)]
-struct FoldBuilder {
+struct FoldBuilder<'a> {
+    /// The base nodes a cone fold replays against (empty otherwise).
+    base: &'a [FoldNode],
+    /// Their replay provenance, parallel to `base`.
+    base_prov: &'a [u64],
     nodes: Vec<FoldNode>,
     /// Per-node provenance in the *previous* pass's id space, packed as
     /// `source << 1 | inverted` (`u64::MAX` = none: constants carry no
     /// stream).
     prov: Vec<u64>,
     dedup: SigMap,
-    /// Dedup insertions in creation order (`(signature, node id)`);
-    /// values are strictly increasing. [`rewind`](Self::rewind) pops
-    /// this to un-cons the young suffix. Grows and cluster re-inserts
-    /// move entries between slots but never create or destroy keys, so
-    /// the log stays exact across both.
-    log: Vec<(u128, u32)>,
     const0: Option<u32>,
     const1: Option<u32>,
     /// Sweep-pass mode: hash-cons only the AND/OR family. A sweep over
@@ -240,6 +296,14 @@ struct FoldBuilder {
     /// `opt::apply_constants` on random netlists) guards this
     /// assumption.
     sweep_consing: bool,
+    /// The base's signature map, during a cone fold.
+    base_sigs: Option<&'a SigMap>,
+    /// Per base node: [`PENDING`] and [`CHANGED`] marks (cone fold).
+    marks: Vec<u8>,
+    /// The base slot whose replay created each of `nodes` (cone fold).
+    born: Vec<u32>,
+    /// The base slot being replayed (cone fold).
+    slot: u32,
 }
 
 const PROV_NONE: u64 = u64::MAX;
@@ -248,59 +312,67 @@ fn prov_pack(source: u32, inverted: bool) -> u64 {
     (source as u64) << 1 | inverted as u64
 }
 
-fn prov_unpack(p: u64) -> Option<(u32, bool)> {
-    (p != PROV_NONE).then_some(((p >> 1) as u32, p & 1 == 1))
+fn prov_unpack(p: u64) -> Option<Provenance> {
+    (p != PROV_NONE)
+        .then(|| Provenance { source: NetId::from_index((p >> 1) as usize), inverted: p & 1 == 1 })
 }
 
-impl FoldBuilder {
+impl<'a> FoldBuilder<'a> {
     /// `capacity` sizes the node and dedup storage (the source node
     /// count is the right ballpark — folds only shrink it).
     fn with_capacity(capacity: usize) -> Self {
         Self {
+            base: &[],
+            base_prov: &[],
             nodes: Vec::with_capacity(capacity + 8),
             prov: Vec::with_capacity(capacity + 8),
             dedup: SigMap::with_capacity(capacity + 8),
-            log: Vec::with_capacity(capacity + 8),
             const0: None,
             const1: None,
             sweep_consing: false,
+            base_sigs: None,
+            marks: Vec::new(),
+            born: Vec::new(),
+            slot: 0,
         }
     }
 
-    /// Truncates the builder to its state just before node `target` was
-    /// created: young nodes (and their provenance, dedup entries and
-    /// constant memos) vanish; everything older is untouched. Sound
-    /// because provenance is write-once (every non-free node is claimed
-    /// by the end of the `emit` that created it, and claims never
-    /// overwrite), so later replay work leaves the prefix bit-identical
-    /// to a fresh fold stopped at the same point.
-    fn rewind(&mut self, target: usize) {
-        while let Some(&(key, val)) = self.log.last() {
-            if (val as usize) < target {
-                break;
-            }
-            self.dedup.remove(key);
-            self.log.pop();
+    /// Number of nodes, base nodes included.
+    fn len(&self) -> usize {
+        self.base.len() + self.nodes.len()
+    }
+
+    fn node(&self, n: u32) -> FoldNode {
+        let n = n as usize;
+        match n.checked_sub(self.base.len()) {
+            Some(own) => self.nodes[own],
+            None => self.base[n],
         }
-        self.nodes.truncate(target);
-        self.prov.truncate(target);
-        if self.const0.is_some_and(|id| id as usize >= target) {
-            self.const0 = None;
+    }
+
+    fn prov_of(&self, n: u32) -> u64 {
+        let n = n as usize;
+        match n.checked_sub(self.base.len()) {
+            Some(own) => self.prov[own],
+            None => self.base_prov[n],
         }
-        if self.const1.is_some_and(|id| id as usize >= target) {
-            self.const1 = None;
-        }
+    }
+
+    /// Sets a node's provenance. Base nodes already carry theirs, so
+    /// only the builder's own nodes are ever set.
+    fn set_prov(&mut self, n: u32, p: u64) {
+        self.prov[n as usize - self.base.len()] = p;
     }
 
     fn input(&mut self, port: u16, bit: u16, source: u32) -> u32 {
-        let id = self.nodes.len() as u32;
+        let id = self.len() as u32;
         self.nodes.push(FoldNode::Input { port, bit });
         self.prov.push(prov_pack(source, false));
         id
     }
 
     fn kind_of(&self, n: u32) -> Option<GateKind> {
-        match self.nodes[n as usize] {
+        match self.node(n) {
             FoldNode::Gate { kind, .. } => Some(kind),
             FoldNode::Input { .. } => None,
         }
@@ -315,7 +387,7 @@ impl FoldBuilder {
     }
 
     fn as_not(&self, n: u32) -> Option<u32> {
-        match self.nodes[n as usize] {
+        match self.node(n) {
             FoldNode::Gate { kind: GateKind::Not, ins } => Some(ins[0]),
             _ => None,
         }
@@ -323,6 +395,22 @@ impl FoldBuilder {
 
     fn complementary(&self, a: u32, b: u32) -> bool {
         self.as_not(a) == Some(b) || self.as_not(b) == Some(a)
+    }
+
+    /// During a cone fold, the base node a signature the builder has not
+    /// created resolves to: an earlier unchanged base node, or the slot
+    /// being replayed (re-created in place). A later base node with the
+    /// signature is not replayed yet; it will merge into the node
+    /// created now, so it becomes pending.
+    fn base_hit(&mut self, key: u128) -> Option<u32> {
+        let j = self.base_sigs?.get(key)?;
+        if j == self.slot || (j < self.slot && self.marks[j as usize] & CHANGED == 0) {
+            return Some(j);
+        }
+        if j > self.slot {
+            self.marks[j as usize] |= PENDING;
+        }
+        None
     }
 
     fn push(&mut self, kind: GateKind, ins: &[u32]) -> u32 {
@@ -333,23 +421,27 @@ impl FoldBuilder {
         {
             // Sweep mode: non-AND/OR structure can never repeat, so the
             // dedup probe (and insert) is pure overhead.
-            let id = self.nodes.len() as u32;
+            let id = self.len() as u32;
             self.nodes.push(FoldNode::Gate { kind, ins: arr });
             self.prov.push(PROV_NONE);
             return id;
         }
         let key = sig(kind, arr);
-        match self.dedup.get_or_slot(key) {
-            Ok(id) => id,
-            Err(slot) => {
-                let id = self.nodes.len() as u32;
-                self.nodes.push(FoldNode::Gate { kind, ins: arr });
-                self.prov.push(PROV_NONE);
-                self.dedup.fill(slot, key, id);
-                self.log.push((key, id));
-                id
-            }
+        let slot = match self.dedup.get_or_slot(key) {
+            Ok(id) => return id,
+            Err(slot) => slot,
+        };
+        if let Some(id) = self.base_hit(key) {
+            return id;
         }
+        let id = self.len() as u32;
+        self.nodes.push(FoldNode::Gate { kind, ins: arr });
+        self.prov.push(PROV_NONE);
+        self.dedup.fill(slot, key, id);
+        if self.base_sigs.is_some() {
+            self.born.push(self.slot);
+        }
+        id
     }
 
     fn push_canonical(&mut self, kind: GateKind, ins: &mut [u32]) -> u32 {
@@ -395,8 +487,8 @@ impl FoldBuilder {
         let id = self.push(GateKind::Not, &[a]);
         // A freshly created inverter streams the complement of its
         // operand; a deduped hit keeps its earlier provenance.
-        if self.prov[id as usize] == PROV_NONE && self.prov[a as usize] != PROV_NONE {
-            self.prov[id as usize] = self.prov[a as usize] ^ 1;
+        if self.prov_of(id) == PROV_NONE && self.prov_of(a) != PROV_NONE {
+            self.set_prov(id, self.prov_of(a) ^ 1);
         }
         id
     }
@@ -579,7 +671,7 @@ impl FoldBuilder {
 
     fn nand3(&mut self, a: u32, b: u32, c: u32) -> u32 {
         let and = self.and3(a, b, c);
-        if let FoldNode::Gate { kind, ins } = self.nodes[and as usize] {
+        if let FoldNode::Gate { kind, ins } = self.node(and) {
             if kind == GateKind::And3 {
                 return self.push_canonical(GateKind::Nand3, &mut [ins[0], ins[1], ins[2]]);
             }
@@ -592,7 +684,7 @@ impl FoldBuilder {
 
     fn nor3(&mut self, a: u32, b: u32, c: u32) -> u32 {
         let or = self.or3(a, b, c);
-        if let FoldNode::Gate { kind, ins } = self.nodes[or as usize] {
+        if let FoldNode::Gate { kind, ins } = self.node(or) {
             if kind == GateKind::Or3 {
                 return self.push_canonical(GateKind::Nor3, &mut [ins[0], ins[1], ins[2]]);
             }
@@ -667,16 +759,13 @@ impl FoldBuilder {
     /// First claim wins — a deduped image already carries an
     /// equivalent provenance.
     fn claim(&mut self, created_from: usize, img: u32, source: u32) {
-        if self.prov[img as usize] == PROV_NONE
-            && !matches!(self.kind_of(img), Some(k) if k.is_free())
-        {
-            self.prov[img as usize] = prov_pack(source, false);
+        if self.prov_of(img) == PROV_NONE && !matches!(self.kind_of(img), Some(k) if k.is_free()) {
+            self.set_prov(img, prov_pack(source, false));
         }
-        for id in created_from..self.nodes.len() {
-            if self.prov[id] == PROV_NONE
-                && !matches!(self.kind_of(id as u32), Some(k) if k.is_free())
+        for id in created_from as u32..self.len() as u32 {
+            if self.prov_of(id) == PROV_NONE && !matches!(self.kind_of(id), Some(k) if k.is_free())
             {
-                self.prov[id] = prov_pack(source, true);
+                self.set_prov(id, prov_pack(source, true));
             }
         }
     }
@@ -684,37 +773,16 @@ impl FoldBuilder {
 
 /// One fold pass's output: the built nodes plus the source→image map
 /// and the mapped output-port bits (flat, ports in declaration order).
-struct Pass {
-    b: FoldBuilder,
+struct Pass<'a> {
+    b: FoldBuilder<'a>,
     outputs: Vec<u32>,
-}
-
-/// Replays one source node through the folding constructors — the
-/// shared inner step of [`replay_pass`] and [`Refolder`] resumes
-/// (sharing it is what keeps the two bit-identical). `forced` is the
-/// node's substituted constant, if any.
-#[inline]
-fn replay_node(b: &mut FoldBuilder, map: &mut [u32], id: NetId, node: &Node, forced: Option<bool>) {
-    if let Some(v) = forced {
-        map[id.index()] = b.constant(v);
-        return;
-    }
-    let Node::Gate(g) = node else { return };
-    let mut ins = [0u32; 3];
-    for (slot, i) in ins.iter_mut().zip(g.inputs()) {
-        *slot = map[i.index()];
-    }
-    let before = b.nodes.len();
-    let img = b.emit(g.kind, &ins[..g.inputs().len()]);
-    map[id.index()] = img;
-    b.claim(before, img, id.index() as u32);
 }
 
 /// Mirror of `opt::replay`: every source node replayed through the
 /// folding constructors, with `subst` nets (sorted by id) replaced by
 /// constants first. A cursor over the sorted substitution replaces the
 /// per-node map lookup — ids are visited in ascending order.
-fn replay_pass(nl: &Netlist, subst: &[(NetId, bool)]) -> Pass {
+fn replay_pass(nl: &Netlist, subst: &[(NetId, bool)]) -> Pass<'static> {
     debug_assert!(subst.windows(2).all(|w| w[0].0 < w[1].0), "substitution must be sorted");
     let mut b = FoldBuilder::with_capacity(nl.len());
     let mut map: Vec<u32> = vec![u32::MAX; nl.len()];
@@ -725,14 +793,19 @@ fn replay_pass(nl: &Netlist, subst: &[(NetId, bool)]) -> Pass {
     }
     let mut cursor = subst.iter().peekable();
     for (id, node) in nl.iter() {
-        let forced = match cursor.peek() {
-            Some(&&(net, v)) if net == id => {
-                cursor.next();
-                Some(v)
-            }
-            _ => None,
-        };
-        replay_node(&mut b, &mut map, id, node, forced);
+        if let Some(&(_, v)) = cursor.next_if(|&&(net, _)| net == id) {
+            map[id.index()] = b.constant(v);
+            continue;
+        }
+        let Node::Gate(g) = node else { continue };
+        let mut ins = [0u32; 3];
+        for (slot, i) in ins.iter_mut().zip(g.inputs()) {
+            *slot = map[i.index()];
+        }
+        let before = b.len();
+        let img = b.emit(g.kind, &ins[..g.inputs().len()]);
+        map[id.index()] = img;
+        b.claim(before, img, id.index() as u32);
     }
     let outputs =
         nl.output_ports().iter().flat_map(|p| p.bits.iter().map(|n| map[n.index()])).collect();
@@ -741,7 +814,7 @@ fn replay_pass(nl: &Netlist, subst: &[(NetId, bool)]) -> Pass {
 
 /// Mirror of `opt::sweep` over a previous pass: re-emit the gates on a
 /// path to an output port, in order, through a fresh fold builder.
-fn sweep_pass(prev_b: &FoldBuilder, prev_outputs: &[u32]) -> Pass {
+fn sweep_pass(prev_b: &FoldBuilder<'_>, prev_outputs: &[u32]) -> Pass<'static> {
     // Liveness: transitive fanin of the output bits (gates only).
     let mut live = vec![false; prev_b.nodes.len()];
     let mut stack: Vec<u32> = prev_outputs.to_vec();
@@ -776,7 +849,7 @@ fn sweep_pass(prev_b: &FoldBuilder, prev_outputs: &[u32]) -> Pass {
                 for (slot, &i) in mapped.iter_mut().zip(ins[..kind.arity()].iter()) {
                     *slot = map[i as usize];
                 }
-                let before = b.nodes.len();
+                let before = b.len();
                 let img = b.emit(kind, &mapped[..kind.arity()]);
                 map[id] = img;
                 b.claim(before, img, id as u32);
@@ -787,36 +860,14 @@ fn sweep_pass(prev_b: &FoldBuilder, prev_outputs: &[u32]) -> Pass {
     Pass { b, outputs }
 }
 
-/// Sweeps a finished replay and composes the two passes' provenance
-/// into a [`FoldedCircuit`] — the shared back half of
-/// [`FoldedCircuit::apply_sorted`] and [`Refolder::refold`].
-fn finish_fold(replay_b: &FoldBuilder, replay_outputs: &[u32]) -> FoldedCircuit {
-    let swept = sweep_pass(replay_b, replay_outputs);
-    // Compose the sweep's provenance (in replay ids) with the replay's
-    // (in source ids).
-    let prov = swept
-        .b
-        .prov
-        .iter()
-        .map(|&p| {
-            prov_unpack(p).and_then(|(replay_id, inv2)| {
-                prov_unpack(replay_b.prov[replay_id as usize]).map(|(source, inv1)| Provenance {
-                    source: NetId::from_index(source as usize),
-                    inverted: inv1 ^ inv2,
-                })
-            })
-        })
-        .collect();
-    FoldedCircuit { nodes: swept.b.nodes, prov, outputs: swept.outputs }
-}
-
 /// The folded-and-swept image of a netlist under a constant
 /// substitution: node-for-node the structure `opt::apply_constants`
 /// would build, without building it. See the module docs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FoldedCircuit {
     nodes: Vec<FoldNode>,
-    prov: Vec<Option<Provenance>>,
+    /// Per-node provenance, packed like [`FoldBuilder`]'s.
+    prov: Vec<u64>,
     outputs: Vec<u32>,
 }
 
@@ -828,16 +879,30 @@ impl FoldedCircuit {
         Self::apply_sorted(nl, &pairs)
     }
 
-    /// [`FoldedCircuit::apply`] over an id-sorted substitution slice —
-    /// the zero-copy entry point for callers that already hold a sorted
-    /// pruned-gate set.
+    /// [`FoldedCircuit::apply`] over an id-sorted substitution slice:
+    /// the from-scratch fold [`FoldIndex::fold`] is pinned against.
     ///
     /// # Panics
     ///
     /// Debug builds assert the slice is strictly sorted by net id.
     pub fn apply_sorted(nl: &Netlist, subst: &[(NetId, bool)]) -> Self {
         let replayed = replay_pass(nl, subst);
-        finish_fold(&replayed.b, &replayed.outputs)
+        let swept = sweep_pass(&replayed.b, &replayed.outputs);
+        // Compose the sweep's provenance (in replay ids) with the
+        // replay's (in source ids).
+        let prov = swept
+            .b
+            .prov
+            .iter()
+            .map(|&p| match prov_unpack(p) {
+                Some(sw) => match replayed.b.prov[sw.source.index()] {
+                    PROV_NONE => PROV_NONE,
+                    r => r ^ u64::from(sw.inverted),
+                },
+                None => PROV_NONE,
+            })
+            .collect();
+        FoldedCircuit { nodes: swept.b.nodes, prov, outputs: swept.outputs }
     }
 
     /// Number of folded nodes (inputs + surviving gates).
@@ -858,7 +923,7 @@ impl FoldedCircuit {
 
     /// Value provenance of folded node `i` (`None` for constants).
     pub fn provenance(&self, i: usize) -> Option<Provenance> {
-        self.prov[i]
+        prov_unpack(self.prov[i])
     }
 
     /// The folded output-port bits, flat in declaration order (widths
@@ -912,172 +977,313 @@ impl FoldedCircuit {
     }
 }
 
-/// The replay state a [`Refolder`] carries between folds.
+/// The AND3/OR3 a NAND3/NOR3 fold looks up first (its *companion*).
+fn companion_kind(kind: GateKind) -> Option<GateKind> {
+    match kind {
+        GateKind::Nand3 => Some(GateKind::And3),
+        GateKind::Nor3 => Some(GateKind::Or3),
+        _ => None,
+    }
+}
+
+/// What [`FoldIndex::fold`] reads of one canonical base circuit, built
+/// once per base: its replay (nodes, provenance and signature map),
+/// its consumer table and its NAND3/NOR3 companions.
 #[derive(Debug)]
-struct RefoldState {
-    b: FoldBuilder,
-    /// Source id → replay node of the *last* fold.
-    map: Vec<u32>,
-    /// `ckpt[i]` = builder node count immediately before source id `i`
-    /// was replayed — the rewind target when the substitution first
-    /// diverges at `i`.
-    ckpt: Vec<u32>,
-    /// `(source index, replay node)` of every primary input, for
-    /// restoring `map` entries a diverged substitution had overwritten.
-    inputs: Vec<(u32, u32)>,
-    /// The substitution the cached replay was built with.
-    subst: Vec<(NetId, bool)>,
-    /// Source netlist size, as a cheap same-netlist sanity check.
-    n_nodes: usize,
+pub struct FoldIndex {
+    nodes: Vec<FoldNode>,
+    /// Replay provenance, packed like [`FoldBuilder`]'s.
+    prov: Vec<u64>,
+    sigs: SigMap,
+    fanout: Fanout,
+    /// For each NAND3/NOR3, its AND3/OR3 companion; for each such
+    /// companion, its NAND3/NOR3; `u32::MAX` elsewhere.
+    companion: Vec<u32>,
+    /// The input nodes, which a canonical base lists first.
+    n_inputs: usize,
+    outputs: Vec<u32>,
 }
 
-/// Incremental [`FoldedCircuit::apply_sorted`]: caches the replay pass
-/// and, on the next substitution, rewinds it to the first source node
-/// whose forced constant changed and resumes from there instead of
-/// refolding the whole netlist. Neighbouring candidates in a grid or
-/// NSGA-II batch differ by a few gates, so most of the replay — the
-/// fold-rule evaluation, hash-consing and provenance claiming — is
-/// reused verbatim.
-///
-/// The rewind is exact, not approximate: builder provenance is
-/// write-once and the dedup log is popped back entry for entry, so the
-/// builder state at the divergence checkpoint is bit-identical to a
-/// fresh fold stopped at the same node. The sweep pass always re-runs
-/// in full (liveness is a global property), which bounds the saving at
-/// roughly half the fold cost; the differential suite in
-/// `crates/synth/tests/proptest_fold.rs` pins
-/// `Refolder::refold == FoldedCircuit::apply_sorted` node-for-node
-/// across random neighbour chains.
-#[derive(Debug, Default)]
-pub struct Refolder {
-    state: Option<RefoldState>,
-    resumed_from: Option<usize>,
-}
-
-impl Refolder {
-    /// An empty refolder; the first [`refold`](Self::refold) runs a
-    /// full fold.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Drops the cached replay: the next [`refold`](Self::refold) runs
-    /// from scratch. Callers reset when the delta grew past their
-    /// profitability threshold (a rewind near the netlist's head redoes
-    /// almost everything *plus* the rewind bookkeeping).
-    pub fn reset(&mut self) {
-        self.state = None;
-    }
-
-    /// The source id the last [`refold`](Self::refold) resumed from,
-    /// or `None` when it folded from scratch.
-    pub fn last_resume(&self) -> Option<usize> {
-        self.resumed_from
-    }
-
-    /// Folds `nl` under the id-sorted substitution `subst`, reusing the
-    /// cached replay prefix when one exists. The result is
-    /// node-for-node identical to
-    /// [`FoldedCircuit::apply_sorted`]`(nl, subst)`.
+impl FoldIndex {
+    /// Indexes the canonical base `nl`.
     ///
-    /// Every call must pass the same netlist (sessions are pinned to
-    /// one base circuit); debug builds assert the sorted-substitution
-    /// contract.
-    pub fn refold(&mut self, nl: &Netlist, subst: &[(NetId, bool)]) -> FoldedCircuit {
-        debug_assert!(subst.windows(2).all(|w| w[0].0 < w[1].0), "substitution must be sorted");
-        match &mut self.state {
-            Some(st) if st.n_nodes == nl.len() => {
-                self.resumed_from = Some(Self::resume(st, nl, subst));
-            }
-            _ => {
-                self.state = Some(Self::fresh(nl, subst));
-                self.resumed_from = None;
+    /// # Errors
+    ///
+    /// Returns [`NetlistError::NotCanonical`] naming the first node
+    /// that replaying `nl` without a substitution does not reproduce.
+    /// Every `opt::optimize` output is canonical; buffers and duplicate
+    /// structure are not.
+    pub fn new(nl: &Netlist) -> Result<Self, NetlistError> {
+        let Pass { b, outputs } = replay_pass(nl, &[]);
+        let differs = (0..nl.len())
+            .find(|&i| b.nodes.get(i) != Some(&FoldNode::of(&nl.nodes()[i])))
+            .or_else(|| (b.nodes.len() != nl.len()).then(|| nl.len().saturating_sub(1)))
+            .or_else(|| {
+                let bits = nl.output_ports().iter().flat_map(|p| p.bits.iter());
+                bits.zip(&outputs).find(|(n, &o)| n.index() != o as usize).map(|(n, _)| n.index())
+            });
+        if let Some(i) = differs {
+            return Err(NetlistError::NotCanonical { net: NetId::from_index(i) });
+        }
+        let mut companion = vec![u32::MAX; b.nodes.len()];
+        for (v, node) in b.nodes.iter().enumerate() {
+            let FoldNode::Gate { kind, ins } = *node else { continue };
+            if let Some(c) = companion_kind(kind).and_then(|dual| b.dedup.get(sig(dual, ins))) {
+                companion[v] = c;
+                companion[c as usize] = v as u32;
             }
         }
-        let st = self.state.as_ref().expect("refold state just installed");
-        let outputs: Vec<u32> = nl
-            .output_ports()
-            .iter()
-            .flat_map(|p| p.bits.iter().map(|n| st.map[n.index()]))
-            .collect();
-        finish_fold(&st.b, &outputs)
+        let n_inputs = b.nodes.iter().take_while(|n| matches!(n, FoldNode::Input { .. })).count();
+        Ok(Self {
+            nodes: b.nodes,
+            prov: b.prov,
+            sigs: b.dedup,
+            fanout: Fanout::build(nl),
+            companion,
+            n_inputs,
+            outputs,
+        })
     }
 
-    /// Full replay with checkpoint recording.
-    fn fresh(nl: &Netlist, subst: &[(NetId, bool)]) -> RefoldState {
-        let mut b = FoldBuilder::with_capacity(nl.len());
-        let mut map: Vec<u32> = vec![u32::MAX; nl.len()];
-        let mut inputs = Vec::new();
-        for (pi, p) in nl.input_ports().iter().enumerate() {
-            for (bit, old) in p.bits.iter().enumerate() {
-                let n = b.input(pi as u16, bit as u16, old.index() as u32);
-                map[old.index()] = n;
-                inputs.push((old.index() as u32, n));
-            }
+    /// The base's consumer table.
+    pub fn fanout(&self) -> &Fanout {
+        &self.fanout
+    }
+
+    /// Folds the base under the id-sorted substitution `mask` by
+    /// re-folding only the nodes it changes (see the module docs). The
+    /// result is node for node, provenance included, the circuit
+    /// [`FoldedCircuit::apply_sorted`]`(base, mask)` builds; it lives
+    /// in `scratch` until the scratch's next fold.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a masked net lies outside the base. Debug builds
+    /// assert the mask is strictly sorted by net id.
+    pub fn fold<'s>(
+        &self,
+        mask: &[(NetId, bool)],
+        scratch: &'s mut FoldScratch,
+    ) -> &'s FoldedCircuit {
+        debug_assert!(mask.windows(2).all(|w| w[0].0 < w[1].0), "mask must be sorted");
+        self.replay(mask, scratch);
+        self.sweep(scratch);
+        &scratch.out
+    }
+
+    /// The replay: re-folds the pending nodes in id order against the
+    /// base's signature map. Leaves per-base-node marks and images, and
+    /// the created nodes with the slot that created each, in `scratch`.
+    fn replay(&self, mask: &[(NetId, bool)], scratch: &mut FoldScratch) {
+        let n = self.nodes.len();
+        let mut marks = std::mem::take(&mut scratch.marks);
+        marks.clear();
+        marks.resize(n, 0);
+        for &(net, _) in mask {
+            marks[net.index()] |= PENDING;
         }
-        let mut st = RefoldState {
-            b,
-            map,
-            ckpt: vec![0; nl.len()],
-            inputs,
-            subst: subst.to_vec(),
-            n_nodes: nl.len(),
+        let mut b = FoldBuilder {
+            base: &self.nodes,
+            base_prov: &self.prov,
+            nodes: std::mem::take(&mut scratch.nodes),
+            prov: std::mem::take(&mut scratch.prov),
+            dedup: std::mem::take(&mut scratch.dedup),
+            const0: None,
+            const1: None,
+            sweep_consing: false,
+            base_sigs: Some(&self.sigs),
+            marks,
+            born: std::mem::take(&mut scratch.born),
+            slot: 0,
         };
-        Self::replay_range(&mut st, nl, subst, 0);
-        st
-    }
-
-    /// Rewinds the cached replay to the first diverging source id and
-    /// replays the rest under the new substitution. Returns the resume
-    /// point (`nl.len()` when the substitutions are identical).
-    fn resume(st: &mut RefoldState, nl: &Netlist, subst: &[(NetId, bool)]) -> usize {
-        let mut i = 0;
-        let d = loop {
-            break match (st.subst.get(i), subst.get(i)) {
-                (Some(a), Some(b)) if a == b => {
-                    i += 1;
-                    continue;
+        b.nodes.clear();
+        b.prov.clear();
+        b.dedup.clear();
+        b.born.clear();
+        let img = &mut scratch.img;
+        img.resize(n, 0);
+        let mut refolded = 0;
+        let mut forced = mask.iter().peekable();
+        for s in mask.first().map_or(n, |&(net, _)| net.index())..n {
+            if b.marks[s] & PENDING == 0 {
+                continue;
+            }
+            b.slot = s as u32;
+            refolded += 1;
+            let node = self.nodes[s];
+            let image = if let Some(&(_, v)) = forced.next_if(|&&(net, _)| net.index() == s) {
+                b.constant(v)
+            } else {
+                let FoldNode::Gate { kind, ins } = node else {
+                    unreachable!("only a mask marks an input")
+                };
+                let mut mapped = [0u32; 3];
+                for (m, &i) in mapped.iter_mut().zip(&ins[..kind.arity()]) {
+                    *m = if b.marks[i as usize] & CHANGED != 0 { img[i as usize] } else { i };
                 }
-                (Some(a), Some(b)) => a.0.index().min(b.0.index()),
-                (Some(a), None) => a.0.index(),
-                (None, Some(b)) => b.0.index(),
-                (None, None) => nl.len(),
+                let before = b.len();
+                let image = b.emit(kind, &mapped[..kind.arity()]);
+                b.claim(before, image, s as u32);
+                image
             };
-        };
-        if d < nl.len() {
-            st.b.rewind(st.ckpt[d] as usize);
-            // The stale suffix of `map` is rewritten before any later
-            // node reads it (operands precede their gate) — except for
-            // primary inputs a previously-substituted entry shadowed,
-            // which the resume loop skips. Restore those explicitly.
-            for &(src, node) in &st.inputs {
-                if src as usize >= d {
-                    st.map[src as usize] = node;
+            if image != s as u32 {
+                b.marks[s] |= CHANGED;
+                img[s] = image;
+                for &c in self.fanout.of(NetId::from_index(s)) {
+                    b.marks[c.index()] |= PENDING;
+                }
+                // A changed AND3/OR3 companion re-marks its NAND3/NOR3.
+                if matches!(node, FoldNode::Gate { kind: GateKind::And3 | GateKind::Or3, .. })
+                    && self.companion[s] != u32::MAX
+                {
+                    b.marks[self.companion[s] as usize] |= PENDING;
                 }
             }
-            Self::replay_range(st, nl, subst, d);
-            st.subst = subst.to_vec();
         }
-        d
+        let FoldBuilder { nodes, prov, dedup, marks, born, .. } = b;
+        (scratch.nodes, scratch.prov, scratch.dedup, scratch.marks, scratch.born) =
+            (nodes, prov, dedup, marks, born);
+        scratch.refolded = refolded;
     }
 
-    /// Replays source ids `from..` through the shared [`replay_node`]
-    /// step, recording a checkpoint per id.
-    fn replay_range(st: &mut RefoldState, nl: &Netlist, subst: &[(NetId, bool)], from: usize) {
-        let start = subst.partition_point(|&(n, _)| n.index() < from);
-        let mut cursor = subst[start..].iter().peekable();
-        for idx in from..nl.len() {
-            st.ckpt[idx] = st.b.nodes.len() as u32;
-            let id = NetId::from_index(idx);
-            let forced = match cursor.peek() {
-                Some(&&(net, v)) if net == id => {
-                    cursor.next();
-                    Some(v)
-                }
-                _ => None,
-            };
-            replay_node(&mut st.b, &mut st.map, id, nl.node(id), forced);
+    /// The sweep over the replay in `scratch`. Replay order lists, per
+    /// base slot, the nodes that slot created, then the slot's own base
+    /// node if it replayed to itself. Liveness is one reverse pass over
+    /// that order; one forward pass then renumbers the live nodes,
+    /// re-sorts commutative operands and re-creates a dead AND3/OR3
+    /// companion right before each live NAND3/NOR3. Each node keeps its
+    /// replay provenance; a re-created companion streams the
+    /// complement of its NAND3/NOR3.
+    fn sweep(&self, scratch: &mut FoldScratch) {
+        let n = self.nodes.len();
+        let FoldScratch { nodes, prov, dedup, born, marks, img, live, remap, out, .. } = scratch;
+        let node =
+            |v: u32| if (v as usize) < n { self.nodes[v as usize] } else { nodes[v as usize - n] };
+        let image = |v: u32| if marks[v as usize] & CHANGED != 0 { img[v as usize] } else { v };
+        // A base gate is in the replay unless its image changed.
+        let kept = |s: usize| marks[s] & CHANGED == 0;
+
+        live.clear();
+        live.resize(n + nodes.len(), false);
+        out.outputs.clear();
+        for &o in &self.outputs {
+            let v = image(o);
+            live[v as usize] = true;
+            out.outputs.push(v);
         }
+        let mark_operands = |live: &mut [bool], v: u32| {
+            if let FoldNode::Gate { kind, ins } = node(v) {
+                for &i in &ins[..kind.arity()] {
+                    live[i as usize] = true;
+                }
+            }
+        };
+        let mut k = nodes.len();
+        for s in (0..n).rev() {
+            if kept(s) && live[s] {
+                mark_operands(live, s as u32);
+            }
+            while k > 0 && born[k - 1] == s as u32 {
+                k -= 1;
+                if live[n + k] {
+                    mark_operands(live, (n + k) as u32);
+                }
+            }
+        }
+
+        // Whether the replay's AND3/OR3 companion of NAND3/NOR3 `v` is
+        // live: the base companion when unchanged, else the node holding
+        // its signature.
+        let companion_live = |v: u32, dual: GateKind, ins: [u32; 3]| {
+            let c = self.companion.get(v as usize).copied().unwrap_or(u32::MAX);
+            let c = if c != u32::MAX && kept(c as usize) {
+                Some(c)
+            } else {
+                let key = sig(dual, ins);
+                dedup.get(key).or_else(|| self.sigs.get(key).filter(|&j| kept(j as usize)))
+            };
+            c.is_some_and(|c| live[c as usize])
+        };
+        remap.clear();
+        remap.resize(n + nodes.len(), u32::MAX);
+        out.nodes.clear();
+        out.prov.clear();
+        out.nodes.reserve(n + nodes.len());
+        out.prov.reserve(n + nodes.len());
+        out.nodes.extend_from_slice(&self.nodes[..self.n_inputs]);
+        out.prov.extend_from_slice(&self.prov[..self.n_inputs]);
+        for (i, r) in remap[..self.n_inputs].iter_mut().enumerate() {
+            *r = i as u32;
+        }
+        // Renumbering keeps the order of base nodes, whose operands are
+        // base nodes, so only created nodes re-sort theirs.
+        let mut emit = |v: u32, node: FoldNode, p: u64, created: bool| {
+            let FoldNode::Gate { kind, ins } = node else { unreachable!("inputs lead") };
+            let arity = kind.arity();
+            let mut mapped = [0u32; 3];
+            for (j, (m, &i)) in mapped.iter_mut().zip(&ins).enumerate() {
+                if j < arity {
+                    *m = remap[i as usize];
+                }
+            }
+            if created && kind.is_commutative() {
+                mapped[..arity].sort_unstable();
+            }
+            if let Some(dual) = companion_kind(kind) {
+                if !companion_live(v, dual, ins) {
+                    out.nodes.push(FoldNode::Gate { kind: dual, ins: mapped });
+                    out.prov.push(if p == PROV_NONE { p } else { p ^ 1 });
+                }
+            }
+            remap[v as usize] = out.nodes.len() as u32;
+            out.nodes.push(FoldNode::Gate { kind, ins: mapped });
+            out.prov.push(p);
+        };
+        let mut k = 0;
+        for s in 0..n {
+            while k < nodes.len() && born[k] == s as u32 {
+                let v = n + k;
+                if live[v] {
+                    emit(v as u32, nodes[k], prov[k], true);
+                }
+                k += 1;
+            }
+            if s >= self.n_inputs && kept(s) && live[s] {
+                emit(s as u32, self.nodes[s], self.prov[s], false);
+            }
+        }
+        for o in &mut out.outputs {
+            *o = remap[*o as usize];
+        }
+    }
+}
+
+/// Caller-owned buffers of [`FoldIndex::fold`], reusable across folds
+/// and bases (one per worker). It also holds the last fold's result.
+#[derive(Debug, Default)]
+pub struct FoldScratch {
+    /// The nodes the last replay created, their provenance and
+    /// signatures.
+    nodes: Vec<FoldNode>,
+    prov: Vec<u64>,
+    dedup: SigMap,
+    /// The base slot whose replay created each of `nodes`.
+    born: Vec<u32>,
+    /// Per base node: [`PENDING`] and [`CHANGED`] marks.
+    marks: Vec<u8>,
+    /// Per changed base node: its image.
+    img: Vec<u32>,
+    /// Liveness and final ids, over the base nodes, then `nodes`.
+    live: Vec<bool>,
+    remap: Vec<u32>,
+    refolded: usize,
+    out: FoldedCircuit,
+}
+
+impl FoldScratch {
+    /// How many base nodes the last fold re-folded.
+    pub fn refolded(&self) -> usize {
+        self.refolded
     }
 }
 
@@ -1207,11 +1413,25 @@ mod tests {
         }
     }
 
+    /// Folds every mask of `masks` through one reused scratch and pins
+    /// each against the from-scratch fold.
+    fn assert_cone_folds(nl: &Netlist, masks: &[Vec<(NetId, bool)>]) {
+        let index = FoldIndex::new(nl).expect("canonical base");
+        let mut scratch = FoldScratch::default();
+        for mask in masks {
+            let mut sorted = mask.clone();
+            sorted.sort_unstable_by_key(|&(n, _)| n);
+            let fresh = FoldedCircuit::apply_sorted(nl, &sorted);
+            assert_folds_equal(index.fold(&sorted, &mut scratch), &fresh);
+        }
+    }
+
     #[test]
     fn refold_chain_matches_fresh_folds() {
         let (nl, nets) = sample();
-        // A neighbour chain walking the gate-set lattice: adds, removes
-        // and swaps of a few gates per step, including the empty set.
+        // A chain walking the gate-set lattice with one reused scratch:
+        // adds, removes and swaps of a few gates per step, the empty set,
+        // and the same set twice in a row.
         let chain: Vec<Vec<(NetId, bool)>> = vec![
             vec![],
             vec![(nets[0], true)],
@@ -1221,38 +1441,98 @@ mod tests {
             vec![(nets[0], false), (nets[1], true), (nets[3], true)],
             vec![],
             vec![(nets[4], false)],
+            vec![(nets[1], true)],
+            vec![(nets[1], true)],
         ];
-        let mut refolder = Refolder::new();
-        for (step, subst) in chain.iter().enumerate() {
-            let mut sorted = subst.clone();
-            sorted.sort_unstable_by_key(|&(n, _)| n);
-            let delta = refolder.refold(&nl, &sorted);
-            let fresh = FoldedCircuit::apply_sorted(&nl, &sorted);
-            assert_folds_equal(&delta, &fresh);
-            assert_eq!(refolder.last_resume().is_none(), step == 0, "step {step}");
-        }
+        assert_cone_folds(&nl, &chain);
     }
 
     #[test]
-    fn refolder_reset_forces_full_fold() {
-        let (nl, nets) = sample();
-        let mut refolder = Refolder::new();
-        refolder.refold(&nl, &[(nets[0], true)]);
-        refolder.reset();
-        let delta = refolder.refold(&nl, &[(nets[1], false)]);
-        assert!(refolder.last_resume().is_none());
-        assert_folds_equal(&delta, &FoldedCircuit::apply_sorted(&nl, &[(nets[1], false)]));
+    fn companion_re_mark_holds_on_every_mask() {
+        // NAND3(a,b,c) keeps its dead AND3 companion; AND3(a,b,OR2(c,
+        // AND2(q,a))) re-folds onto that companion's signature once the
+        // AND2 goes to 0. Every mask of the five gates to {unmasked, 0,
+        // 1}: 3^5 = 243 cases.
+        let mut b = NetlistBuilder::new("companion");
+        let x = b.input_port("x", 4);
+        let (a, bb, c, q) = (x[0], x[1], x[2], x[3]);
+        let n = b.nand3(a, bb, c);
+        let t = b.and2(q, a);
+        let o = b.or2(c, t);
+        let y = b.and3(a, bb, o);
+        b.output_port("y", vec![n, y].into());
+        let nl = b.finish();
+        assert_eq!(nl.len(), 9, "inputs, AND3 companion, NAND3, AND2, OR2, AND3");
+        let gates: Vec<NetId> = (4..9).map(NetId::from_index).collect();
+        let masks: Vec<Vec<(NetId, bool)>> = (0..243u32)
+            .map(|code| {
+                let mut digits = code;
+                let mut mask = Vec::new();
+                for &g in &gates {
+                    match digits % 3 {
+                        1 => mask.push((g, false)),
+                        2 => mask.push((g, true)),
+                        _ => {}
+                    }
+                    digits /= 3;
+                }
+                mask
+            })
+            .collect();
+        assert_cone_folds(&nl, &masks);
     }
 
     #[test]
-    fn refold_identical_substitution_is_a_noop_resume() {
-        let (nl, nets) = sample();
-        let subst = [(nets[1], true)];
-        let mut refolder = Refolder::new();
-        let first = refolder.refold(&nl, &subst);
-        let second = refolder.refold(&nl, &subst);
-        assert_eq!(refolder.last_resume(), Some(nl.len()));
-        assert_folds_equal(&first, &second);
+    fn refolded_node_merges_into_a_later_base_node() {
+        // Forcing `k` to 0 turns OR2(x1, k) into x1, so u = AND2(x0, ·)
+        // re-folds to AND2(x0, x1): the signature of the later base node
+        // v, which then merges into the node u's replay created.
+        let mut b = NetlistBuilder::new("merge");
+        let x = b.input_port("x", 4);
+        let k = b.and2(x[2], x[3]);
+        let t = b.or2(x[1], k);
+        let u = b.and2(x[0], t);
+        let v = b.and2(x[0], x[1]);
+        let w = b.xor2(v, x[3]);
+        b.output_port("y", vec![u, w].into());
+        let nl = b.finish();
+        let index = FoldIndex::new(&nl).unwrap();
+        let mut scratch = FoldScratch::default();
+        let mask = [(k, false)];
+        let fresh = FoldedCircuit::apply_sorted(&nl, &mask);
+        assert_folds_equal(index.fold(&mask, &mut scratch), &fresh);
+        // k, t, u, the merged v and its consumer w.
+        assert_eq!(scratch.refolded(), 5);
+        assert_cone_folds(&nl, &[vec![(k, false)], vec![(k, true)], vec![(t, false), (w, true)]]);
+    }
+
+    #[test]
+    fn constant_created_ahead_of_the_base_constant() {
+        // The base's constant-0 node comes after g; forcing g to 0
+        // creates the replay's constant first, and the base constant
+        // (an output bit) folds into it.
+        let mut b = NetlistBuilder::new("k");
+        let x = b.input_port("x", 3);
+        let g = b.and2(x[0], x[1]);
+        let k0 = b.const0();
+        let h = b.or2(g, x[2]);
+        b.output_port("y", vec![h, k0].into());
+        let nl = b.finish();
+        assert!(k0 > g);
+        assert_cone_folds(&nl, &[vec![(g, false)], vec![(g, true)], vec![(g, false), (h, true)]]);
+    }
+
+    #[test]
+    fn non_canonical_base_is_rejected() {
+        // The replay drops buffers, so it cannot reproduce this base.
+        let mut b = NetlistBuilder::new("buf");
+        let x = b.input_port("x", 2);
+        let a = b.and2(x[0], x[1]);
+        let buffered = b.buf_cell(a);
+        let y = b.xor2(buffered, x[0]);
+        b.output_port("y", vec![y].into());
+        let nl = b.finish();
+        assert_eq!(FoldIndex::new(&nl).unwrap_err(), NetlistError::NotCanonical { net: buffered });
     }
 
     #[test]

@@ -14,16 +14,10 @@
 //!   (preserving topological validity) and grouped into runs of one
 //!   [`GateKind`], so the kind dispatch is hoisted out of the inner
 //!   loop: one `match` per run, then a tight loop over dense operand
-//!   slots;
-//! * **LUT-cone fusion** — at compile time the tape is greedily covered
-//!   with k-input cones (k ≤ 6, single-fanout internals only; see the
-//!   invariants in the `fuse` module docs). Each profitable cone
-//!   becomes one table-lookup instruction, so a whole run of decoded
-//!   gates collapses into a handful of register-resident word ops. The
-//!   activity-off entry points ([`run`](CompiledNetlist::run),
-//!   [`run_packed`](CompiledNetlist::run_packed)) execute the fused
-//!   tape;
-//! * **width-generic words** — the kernel is generic over
+//!   slots. Every entry point executes this one tape;
+//! * **width-generic words** — the activity-off entry points
+//!   ([`run`](CompiledNetlist::run),
+//!   [`run_packed`](CompiledNetlist::run_packed)) are generic over
 //!   [`Word`](crate::Word): 64 lanes (`u64`) or 256 lanes
 //!   ([`W256`](crate::W256)). [`run`](CompiledNetlist::run) picks the
 //!   wide word automatically for large stimuli; outputs flatten back to
@@ -32,16 +26,13 @@
 //!   ([`run_with_activity`](CompiledNetlist::run_with_activity),
 //!   [`run_packed_with_activity`](CompiledNetlist::run_packed_with_activity),
 //!   [`run_masked_with_activity`](CompiledNetlist::run_masked_with_activity))
-//!   produce an [`Activity`] record bit-identical to the interpreter's.
-//!   They execute the **unfused** tape at 64 lanes: exact per-net toggle
-//!   accounting must observe every internal net, and fused cones elide
-//!   theirs. The unfused tape doubles as the differential oracle the
-//!   fused tape is pinned against;
+//!   produce an [`Activity`] record bit-identical to the interpreter's,
+//!   at 64 lanes;
 //! * **masked candidates as a cone pass** — a pruning candidate pins
 //!   some gates to constants. [`run_cone`](CompiledNetlist::run_cone)
-//!   re-executes only the pinned gates' transitive fanout, on the
-//!   unfused tape, reading every other value from one recorded
-//!   unmasked run ([`BaseTrace`]); the result equals
+//!   re-executes only the pinned gates' transitive fanout, reading
+//!   every other value from one recorded unmasked run
+//!   ([`BaseTrace`]); the result equals
 //!   [`run_masked_with_activity`](CompiledNetlist::run_masked_with_activity)'s
 //!   bit for bit;
 //! * **sequential word execution** — every entry point runs its words
@@ -54,9 +45,8 @@
 //! All entry points are pinned bit-for-bit (ports, ones, toggles) to
 //! [`try_simulate`](crate::try_simulate) and to the scalar
 //! [`eval_ports`](pax_netlist::eval::eval_ports) reference by the
-//! differential property suite in `tests/proptest_engine.rs` — fused ==
-//! unfused == interpreted, at both word widths, and cone pass == masked
-//! unfused run.
+//! differential property suite in `tests/proptest_engine.rs` — compiled
+//! == interpreted, at both word widths, and cone pass == masked run.
 //!
 //! # Examples
 //!
@@ -84,7 +74,6 @@ use std::collections::BTreeMap;
 use pax_netlist::{GateKind, NetId, Netlist, Node, Port};
 
 use crate::engine::{pack_inputs, PackedInputs, SimOutputs, SimResult};
-use crate::fuse::{eval_lut, FusedTape, Instr, Run, Step, MAX_K};
 use crate::word::{Word, W256};
 use crate::{Activity, SimError, Stimulus};
 
@@ -94,28 +83,43 @@ use crate::{Activity, SimError, Stimulus};
 /// samples before it pays off).
 const WIDE_WORD_THRESHOLD: usize = 128;
 
-/// A netlist compiled to a flat, kind-grouped instruction tape plus a
-/// LUT-fused execution plan. See the module docs in `compiled.rs` for
-/// the design and when to prefer this over
-/// [`try_simulate`](crate::try_simulate).
+/// One tape instruction: dense operand slots plus the destination
+/// slot. Unused operands point at slot 0 and are never read by the
+/// executing run.
+#[derive(Debug, Clone, Copy)]
+struct Instr {
+    a: u32,
+    b: u32,
+    c: u32,
+    dst: u32,
+}
+
+/// A maximal consecutive stretch of instructions sharing one gate kind.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    op: GateKind,
+    start: u32,
+    end: u32,
+}
+
+/// A netlist compiled to a flat, kind-grouped instruction tape. See
+/// the module docs in `compiled.rs` for the design and when to prefer
+/// this over [`try_simulate`](crate::try_simulate).
 #[derive(Debug, Clone)]
 pub struct CompiledNetlist {
     name: String,
     n_slots: usize,
-    /// The unfused tape: every gate, levelized and kind-grouped. This
-    /// is the activity oracle and what masked runs execute.
+    /// The tape: every gate, levelized and kind-grouped.
     instrs: Vec<Instr>,
     runs: Vec<Run>,
-    /// Gate kind at each unfused tape position (run lookup, hoisted).
+    /// Gate kind at each tape position (run lookup, hoisted).
     kinds: Vec<GateKind>,
-    /// The fused execution plan the activity-off paths run.
-    fused: FusedTape,
     input_ports: Vec<Port>,
     output_ports: Vec<Port>,
     /// Value slot of every output-port bit, ports in declaration order,
     /// bits LSB-first — the flat order output planes use.
     output_slots: Vec<u32>,
-    /// Unfused tape position of the instruction writing each slot
+    /// Tape position of the instruction writing each slot
     /// (`u32::MAX` for input/non-gate slots) — the lookup masked
     /// execution rewrites through.
     instr_of: Vec<u32>,
@@ -144,7 +148,7 @@ impl<W: Word> PackedStimulus<W> {
     }
 }
 
-/// One full recording of an unfused, unmasked run: the 64-lane value
+/// One full recording of an unmasked run: the 64-lane value
 /// words of every slot plus the base activity counts.
 /// [`CompiledNetlist::trace`] produces it once per (tape, stimulus)
 /// pair; [`CompiledNetlist::run_cone`] then evaluates any masked
@@ -199,8 +203,7 @@ pub struct ConeScratch {
 }
 
 impl CompiledNetlist {
-    /// Compiles `nl` into an instruction tape and covers it with fused
-    /// LUT cones.
+    /// Compiles `nl` into an instruction tape.
     ///
     /// Gates are stable-sorted by logic level (so the tape stays a valid
     /// topological order) and, within a level, by kind — maximizing the
@@ -249,15 +252,12 @@ impl CompiledNetlist {
             instr_of[i.dst as usize] = at as u32;
         }
 
-        let fused = FusedTape::build(&instrs, &kinds, nl.len(), &output_slots);
-
         Self {
             name: nl.name().to_owned(),
             n_slots: nl.len(),
             instrs,
             runs,
             kinds,
-            fused,
             input_ports: nl.input_ports().to_vec(),
             output_ports: nl.output_ports().to_vec(),
             output_slots,
@@ -275,30 +275,18 @@ impl CompiledNetlist {
         self.n_slots
     }
 
-    /// Number of unfused tape instructions (gates, constants included).
+    /// Number of tape instructions (gates, constants included).
     pub fn n_instructions(&self) -> usize {
         self.instrs.len()
     }
 
-    /// Number of single-kind runs the unfused tape was grouped into —
-    /// the number of kind dispatches per activity-tracked word.
+    /// Number of single-kind runs the tape was grouped into — the
+    /// number of kind dispatches per word.
     pub fn n_runs(&self) -> usize {
         self.runs.len()
     }
 
-    /// Number of fused LUT cones in the activity-off execution plan.
-    pub fn n_luts(&self) -> usize {
-        self.fused.luts.len()
-    }
-
-    /// Instructions per word on the fused (activity-off) plan: residual
-    /// gates plus LUTs. The gap to [`n_instructions`](Self::n_instructions)
-    /// is what fusion removed.
-    pub fn n_fused_instructions(&self) -> usize {
-        self.fused.instrs.len() + self.fused.luts.len()
-    }
-
-    /// Executes the fused tape on `stim` — functional outputs only, no
+    /// Executes the tape on `stim` — functional outputs only, no
     /// activity accounting. This is the serving path: it never pays for
     /// toggle counters nobody reads. Stimuli above ~2 `u64` words of
     /// samples execute over 256-lane words; results are bit-identical
@@ -343,21 +331,21 @@ impl CompiledNetlist {
         Ok(PackedStimulus { inner: pack_inputs(&self.input_ports, stim)? })
     }
 
-    /// Executes the fused tape on an already-packed stimulus —
-    /// functional outputs only. Validation happened at
-    /// [`pack`](Self::pack) time, so this path is infallible.
+    /// Executes the tape on an already-packed stimulus — functional
+    /// outputs only. Validation happened at [`pack`](Self::pack) time,
+    /// so this path is infallible.
     pub fn run_packed<W: Word>(&self, packed: &PackedStimulus<W>) -> SimOutputs {
-        self.execute_fused(&packed.inner)
+        self.execute(&packed.inner)
     }
 
-    /// Executes the unfused tape on an already-packed stimulus with full
+    /// Executes the tape on an already-packed stimulus with full
     /// activity accounting.
     pub fn run_packed_with_activity(&self, packed: &PackedStimulus) -> SimResult {
         let (outputs, activity) = self.execute_tracked(&self.instrs, self.n_slots, &packed.inner);
         SimResult::new(activity, outputs)
     }
 
-    /// Executes the **unfused** tape with the `mask`ed gates pinned to
+    /// Executes the tape with the `mask`ed gates pinned to
     /// constants, with full per-net activity accounting: each
     /// `(net, value)` pair rewrites that gate's operands onto two
     /// reserved constant slots, so its output — and everything
@@ -406,7 +394,7 @@ impl CompiledNetlist {
         (at as usize, kind)
     }
 
-    /// Records one unfused, unmasked run of `packed`: every slot's value
+    /// Records one unmasked run of `packed`: every slot's value
     /// words plus the base activity — the fixed input every
     /// [`run_cone`](Self::run_cone) call reads.
     pub fn trace(&self, packed: &PackedStimulus) -> BaseTrace {
@@ -423,7 +411,7 @@ impl CompiledNetlist {
 
     /// The cone pass: outputs and full activity of the `mask`ed tape,
     /// from a [`trace`](Self::trace) of the same stimulus, in one pass
-    /// over the affected cone's unfused instructions in tape order.
+    /// over the affected cone's instructions in tape order.
     ///
     /// `mask` is id-sorted `(net, value)` pairs, each pinning that gate
     /// to a constant through the two reserved constant slots, exactly
@@ -513,7 +501,7 @@ impl CompiledNetlist {
         SimResult::new(Activity::new(n_samples, ones, toggles), self.outputs(n_samples, flat))
     }
 
-    /// Executes the unfused tape on `stim` with full per-net activity
+    /// Executes the tape on `stim` with full per-net activity
     /// accounting, producing a [`SimResult`] bit-identical to
     /// [`try_simulate`](crate::try_simulate)'s.
     ///
@@ -526,33 +514,16 @@ impl CompiledNetlist {
         Ok(self.run_packed_with_activity(&packed))
     }
 
-    /// Runs the fused plan over all words and flattens the `W`-wide
-    /// output planes back to `u64` words.
-    fn execute_fused<W: Word>(&self, packed: &PackedInputs<W>) -> SimOutputs {
-        let FusedTape { instrs, runs, luts, steps } = &self.fused;
+    /// Runs the tape over all words and flattens the `W`-wide output
+    /// planes back to `u64` words.
+    fn execute<W: Word>(&self, packed: &PackedInputs<W>) -> SimOutputs {
         let mut vals = vec![W::zero(); self.n_slots];
         let n_samples = packed.n_samples;
         let n_words64 = n_samples.div_ceil(64);
         let mut flat: Vec<Vec<u64>> = vec![vec![0u64; n_words64]; self.output_slots.len()];
         for w in 0..packed.n_words {
             load_inputs(packed, w, &mut vals);
-            for step in steps {
-                match *step {
-                    Step::Gates(r) => {
-                        let run = runs[r as usize];
-                        exec_run(run.op, &instrs[run.start as usize..run.end as usize], &mut vals);
-                    }
-                    Step::Luts { start, end } => {
-                        for lut in &luts[start as usize..end as usize] {
-                            let mut xs = [W::zero(); MAX_K];
-                            for (x, &slot) in xs.iter_mut().zip(&lut.ins[..lut.k as usize]) {
-                                *x = vals[slot as usize];
-                            }
-                            vals[lut.dst as usize] = eval_lut(lut.table, lut.k, &xs);
-                        }
-                    }
-                }
-            }
+            exec_runs(&self.runs, &self.instrs, &mut vals);
             // Lane l of wide word w is bit l % 64 of limb l / 64, so
             // limbs are consecutive u64 words of the same plane. The
             // tail word is masked to valid samples.
@@ -570,9 +541,9 @@ impl CompiledNetlist {
         self.outputs(n_samples, flat)
     }
 
-    /// Runs an unfused tape view (the base instruction vector, or a
-    /// masked rewrite of it over `n_vals` slots) over all words with
-    /// activity tracking.
+    /// Runs a tape view (the base instruction vector, or a masked
+    /// rewrite of it over `n_vals` slots) over all words with activity
+    /// tracking.
     fn execute_tracked(
         &self,
         instrs: &[Instr],
@@ -589,7 +560,7 @@ impl CompiledNetlist {
         (self.outputs(n_samples, flat), Activity::new(n_samples, ones, toggles))
     }
 
-    /// Executes an unfused tape view word by word, handing each word's
+    /// Executes a tape view word by word, handing each word's
     /// slot values and valid-lane mask to `visit`, and returns the
     /// per-slot `(ones, toggles)` counts. When `n_vals` exceeds the slot
     /// count, the two extra slots are the masked-execution constants
@@ -670,8 +641,8 @@ fn load_inputs<W: Word>(packed: &PackedInputs<W>, w: usize, vals: &mut [W]) {
     }
 }
 
-/// Evaluates every run of an unfused tape view on one word of lane
-/// values (the run table fixes each stretch's kind).
+/// Evaluates every run of a tape view on one word of lane values (the
+/// run table fixes each stretch's kind).
 #[inline]
 fn exec_runs<W: Word>(runs: &[Run], instrs: &[Instr], vals: &mut [W]) {
     for run in runs {
@@ -798,9 +769,9 @@ mod tests {
         b.finish()
     }
 
-    /// A netlist with a deep single-fanout cone — the fusion pass must
-    /// collapse it. Returns the netlist plus the internal cone nets (in
-    /// topological order) and the cone output.
+    /// A netlist with a deep single-fanout cone. Returns the netlist
+    /// plus the internal cone nets (in topological order) and the cone
+    /// output.
     fn cone_netlist() -> (Netlist, Vec<NetId>, NetId) {
         let mut b = NetlistBuilder::new("cone");
         let x = b.input_port("x", 6);
@@ -882,21 +853,17 @@ mod tests {
                 "toggles of net {i}"
             );
         }
-        // The functional-only (fused, wide-word) path agrees too.
+        // The functional-only (wide-word) path agrees too.
         assert_eq!(compiled.run(&stim).unwrap().port_values("y"), reference.port_values("y"));
     }
 
+    /// The deep single-fanout cone that LUT fusion used to collapse:
+    /// every path, masks inside the cone included, agrees with the
+    /// interpreter and the masked oracle.
     #[test]
     fn fused_cone_matches_unfused_on_all_paths() {
         let (nl, internals, out) = cone_netlist();
         let compiled = CompiledNetlist::compile(&nl);
-        assert!(compiled.n_luts() >= 1, "the cone must fuse");
-        assert!(
-            compiled.n_fused_instructions() < compiled.n_instructions(),
-            "fusion must shorten the tape: {} vs {}",
-            compiled.n_fused_instructions(),
-            compiled.n_instructions()
-        );
         // 5 repeats → 320 samples: exercises both word widths.
         let stim = exhaustive_stim(6, 5);
         let reference = try_simulate(&nl, &stim).unwrap();
@@ -904,8 +871,8 @@ mod tests {
         let packed = compiled.pack(&stim).unwrap();
         assert_eq!(compiled.run_packed(&packed).port_values("y"), reference.port_values("y"));
 
-        // Masks inside the fused cone and on its output: the cone pass
-        // runs the unfused tape, so both equal the unfused oracle.
+        // Masks inside the cone and on its output: the cone pass equals
+        // the masked oracle.
         let trace = compiled.trace(&packed);
         let mut nets = internals.clone();
         nets.push(out);
@@ -1031,7 +998,7 @@ mod tests {
             assert_eq!(got.activity.ones(net), reference.activity.ones(net), "net={i}");
             assert_eq!(got.activity.toggles(net), reference.activity.toggles(net), "net={i}");
         }
-        // The fused functional path agrees too.
+        // The functional-only path agrees too.
         assert_eq!(compiled.run(&stim).unwrap().port_values("y"), reference.port_values("y"));
     }
 
@@ -1155,7 +1122,7 @@ mod tests {
         let c = CompiledNetlist::compile(&nl);
         let packed = c.pack(&stim).unwrap();
         let trace = c.trace(&packed);
-        // The cone pass agrees with the unfused tracked masked run.
+        // The cone pass agrees with the tracked masked run.
         let tracked = c.run_masked_with_activity(&packed, &[(mask_net, true)]);
         let cone = cone_pass(&nl, &c, &trace, &[(mask_net, true)]);
         assert_same(&nl, &cone, &tracked, "masked AND3");
@@ -1216,7 +1183,8 @@ mod tests {
                 let net = NetId::from_index(i);
                 assert_eq!(got.activity.toggles(net), reference.activity.toggles(net), "n={n}");
             }
-            // The fused path (either width) agrees at every boundary.
+            // The functional-only path (either width) agrees at every
+            // boundary.
             assert_eq!(compiled.run(&stim).unwrap().port_values("y"), reference.port_values("y"));
         }
     }

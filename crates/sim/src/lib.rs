@@ -18,8 +18,7 @@
 //!
 //! [`try_simulate`] interprets the netlist node list directly — zero
 //! setup cost, always collects activity. [`CompiledNetlist`] compiles
-//! the netlist once into a levelized, kind-grouped instruction tape —
-//! fusing single-fanout gate cones into k-input table lookups — and
+//! the netlist once into a levelized, kind-grouped instruction tape and
 //! executes it word by word on the calling thread, with activity
 //! accounting opt-in. The
 //! kernel is generic over the lane width ([`Word`]): 64 lanes (`u64`)
@@ -72,7 +71,6 @@ pub mod compare;
 mod compiled;
 mod engine;
 mod error;
-mod fuse;
 pub mod power;
 pub mod saif;
 mod stimulus;

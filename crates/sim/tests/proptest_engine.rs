@@ -258,7 +258,7 @@ proptest! {
         }
     }
 
-    /// The fused tape's 256-lane words agree bit-for-bit with 64-lane
+    /// The tape's 256-lane words agree bit-for-bit with 64-lane
     /// words on random netlists — same instructions, wider vectors.
     #[test]
     fn wide_words_match_u64_on_random_netlists(
@@ -281,7 +281,7 @@ proptest! {
         }
     }
 
-    /// The cone pass equals the unfused masked oracle on random
+    /// The cone pass equals the masked oracle on random
     /// netlists × random id-sorted masks: every output port and every
     /// net's ones and toggles — with `affected` as the masked nets'
     /// fanout cone, and with every slot affected (any superset of the

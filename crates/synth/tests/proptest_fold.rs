@@ -14,7 +14,7 @@
 
 use std::collections::BTreeMap;
 
-use pax_netlist::fold::{FoldedCircuit, Refolder};
+use pax_netlist::fold::{FoldIndex, FoldScratch, FoldedCircuit};
 use pax_netlist::{validate, NetId, Netlist, NetlistBuilder, Node};
 use pax_synth::opt;
 use proptest::prelude::*;
@@ -121,12 +121,12 @@ fn assert_fold_matches(nl: &Netlist, subst: &BTreeMap<NetId, bool>) {
 
 /// Node-for-node equality between two folds: same nodes in the same
 /// order, same output wiring, same provenance streams.
-fn assert_same_fold(delta: &FoldedCircuit, fresh: &FoldedCircuit) {
-    assert_eq!(delta.nodes(), fresh.nodes(), "folded node arrays diverged");
-    assert_eq!(delta.output_bits(), fresh.output_bits(), "output wiring diverged");
-    assert_eq!(delta.gate_count(), fresh.gate_count());
+fn assert_same_fold(cone: &FoldedCircuit, fresh: &FoldedCircuit) {
+    assert_eq!(cone.nodes(), fresh.nodes(), "folded node arrays diverged");
+    assert_eq!(cone.output_bits(), fresh.output_bits(), "output wiring diverged");
+    assert_eq!(cone.gate_count(), fresh.gate_count());
     for i in 0..fresh.len() {
-        assert_eq!(delta.provenance(i), fresh.provenance(i), "provenance diverged at node {i}");
+        assert_eq!(cone.provenance(i), fresh.provenance(i), "provenance diverged at node {i}");
     }
 }
 
@@ -158,15 +158,15 @@ proptest! {
         assert_fold_matches(&nl, &subst);
     }
 
-    /// Delta refolds along random neighbour chains: a [`Refolder`]
-    /// replaying from its checkpoints after small add/remove/flip
-    /// mutations (the shape adjacent grid / NSGA-II candidates
-    /// produce) must equal a from-scratch fold node-for-node at every
-    /// step, including the occasional large jump that forces the
-    /// full-fold fallback.
+    /// The cone fold against the base's index: on `opt::optimize`d
+    /// random netlists × random id-sorted masks at densities 1/2 to
+    /// 1/64, the empty mask and masks over output bits, one reused
+    /// scratch equals the from-scratch fold on nodes, provenance and
+    /// output bits.
     #[test]
-    fn delta_fold_matches_fresh_fold(seed in any::<u64>(), n_gates in 1usize..120) {
-        let nl = random_netlist(seed, n_gates);
+    fn cone_fold_matches_fresh_fold(seed in any::<u64>(), n_gates in 1usize..160) {
+        let nl = opt::optimize(&random_netlist(seed, n_gates));
+        let index = FoldIndex::new(&nl).expect("an optimize output is canonical");
         let gates: Vec<NetId> = nl
             .iter()
             .filter_map(|(id, node)| match node {
@@ -174,50 +174,41 @@ proptest! {
                 _ => None,
             })
             .collect();
-        if gates.is_empty() {
-            continue; // all-free netlist: nothing to prune, nothing to chain
-        }
-
+        let out_gates: Vec<NetId> = nl
+            .output_ports()
+            .iter()
+            .flat_map(|p| p.bits.iter().copied())
+            .filter(|b| gates.contains(b))
+            .collect();
         let mut state = seed.wrapping_mul(0xA076_1D64_78BD_642F) | 1;
-        let mut subst = random_subst(&nl, seed ^ 0xDE17A, 0.3);
-        let mut refolder = Refolder::new();
-        let mut resumed = 0usize;
-        for step in 0..10 {
-            if step % 4 == 3 {
-                // Large jump: replace the whole set, exercising the
-                // earliest-divergence rewind / full-refold path.
-                subst = random_subst(&nl, next(&mut state), 0.5);
-            } else {
-                // Neighbour step: mutate a few gates in place.
-                for _ in 0..=(next(&mut state) % 3) {
-                    let g = gates[(next(&mut state) % gates.len() as u64) as usize];
-                    match subst.remove(&g) {
-                        Some(v) if next(&mut state).is_multiple_of(2) => {
-                            subst.insert(g, !v);
+        let mut scratch = FoldScratch::default();
+        for density in [0u64, 64, 16, 8, 4, 2, 1] {
+            let mut mask = BTreeMap::new();
+            match density {
+                0 => {}
+                1 => {
+                    // Output bits, plus a few random gates.
+                    for &g in &out_gates {
+                        mask.insert(g, next(&mut state).is_multiple_of(2));
+                    }
+                    for &g in &gates {
+                        if next(&mut state).is_multiple_of(8) {
+                            mask.insert(g, next(&mut state).is_multiple_of(2));
                         }
-                        Some(_) => {}
-                        None => {
-                            subst.insert(g, next(&mut state).is_multiple_of(2));
+                    }
+                }
+                d => {
+                    for &g in &gates {
+                        if next(&mut state).is_multiple_of(d) {
+                            mask.insert(g, next(&mut state).is_multiple_of(2));
                         }
                     }
                 }
             }
-            let sorted: Vec<(NetId, bool)> = subst.iter().map(|(k, v)| (*k, *v)).collect();
-            let delta = refolder.refold(&nl, &sorted);
-            resumed += usize::from(refolder.last_resume().is_some());
-            let fresh = FoldedCircuit::apply(&nl, &subst);
-            assert_same_fold(&delta, &fresh);
-            prop_assert_eq!(
-                delta.materialize(&nl),
-                fresh.materialize(&nl),
-                "materialized netlists diverged at step {}",
-                step
-            );
+            let sorted: Vec<(NetId, bool)> = mask.iter().map(|(k, v)| (*k, *v)).collect();
+            let fresh = FoldedCircuit::apply_sorted(&nl, &sorted);
+            assert_same_fold(index.fold(&sorted, &mut scratch), &fresh);
         }
-        // The first call is always a full fold; later steps may
-        // legitimately fall back, but a chain that never resumes means
-        // the checkpoints are dead weight.
-        prop_assert!(resumed >= 1, "refolder never took the delta path over a 10-step chain");
     }
 
     /// Provenance soundness on random circuits: every non-constant
