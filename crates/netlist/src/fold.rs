@@ -1448,6 +1448,37 @@ mod tests {
     }
 
     #[test]
+    fn refolder_reset_forces_full_fold() {
+        // A scratch carries no fold state: a fold after a different mask
+        // is the fold a fresh scratch gives, re-folded cone included.
+        let (nl, nets) = sample();
+        let index = FoldIndex::new(&nl).unwrap();
+        let mask = [(nets[1], false)];
+        let mut fresh_scratch = FoldScratch::default();
+        let fresh = index.fold(&mask, &mut fresh_scratch).clone();
+        let mut reused = FoldScratch::default();
+        index.fold(&[(nets[0], true)], &mut reused);
+        assert_folds_equal(index.fold(&mask, &mut reused), &fresh);
+        assert_eq!(reused.refolded(), fresh_scratch.refolded());
+        assert_folds_equal(&fresh, &FoldedCircuit::apply_sorted(&nl, &mask));
+    }
+
+    #[test]
+    fn refold_identical_substitution_is_a_noop_resume() {
+        // The same mask folded twice through one scratch re-folds the
+        // same cone, not the whole base, and gives the same circuit.
+        let (nl, nets) = sample();
+        let index = FoldIndex::new(&nl).unwrap();
+        let mask = [(nets[1], true)];
+        let mut scratch = FoldScratch::default();
+        let first = index.fold(&mask, &mut scratch).clone();
+        let cone = scratch.refolded();
+        assert!(cone > 0 && cone < nl.len(), "re-folded {cone} of {} nodes", nl.len());
+        assert_folds_equal(index.fold(&mask, &mut scratch), &first);
+        assert_eq!(scratch.refolded(), cone);
+    }
+
+    #[test]
     fn companion_re_mark_holds_on_every_mask() {
         // NAND3(a,b,c) keeps its dead AND3 companion; AND3(a,b,OR2(c,
         // AND2(q,a))) re-folds onto that companion's signature once the
