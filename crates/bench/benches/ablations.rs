@@ -1,4 +1,5 @@
-//! Ablation studies for the design choices DESIGN.md calls out:
+//! Ablation studies for three design choices of the paper's flow
+//! (`PAPER.md`):
 //!
 //! 1. **CSD vs. plain binary recoding** of bespoke multipliers — how
 //!    much of Fig. 1's area advantage comes from the signed-digit form;

@@ -149,6 +149,11 @@ impl Artifact {
 /// model's interface — each section can be individually well-formed yet
 /// mutually inconsistent in a corrupted or hand-assembled file, and the
 /// serving layer constructs backends on the assumption they match.
+///
+/// Every model input `i` needs an input port `x{i}` wide enough for a
+/// quantized sample (`spec.input_bits`), the ports
+/// `BespokeCircuit::generate` builds; a wider port, up to the 64-bit
+/// ceiling of the evaluators, carries the same samples.
 fn check_interface(model: &QuantizedModel, netlist: &Netlist) -> Result<(), String> {
     if netlist.input_ports().len() != model.n_inputs() {
         return Err(format!(
@@ -156,6 +161,20 @@ fn check_interface(model: &QuantizedModel, netlist: &Netlist) -> Result<(), Stri
             netlist.input_ports().len(),
             model.n_inputs()
         ));
+    }
+    let bits = model.spec.input_bits as usize;
+    for i in 0..model.n_inputs() {
+        let name = format!("x{i}");
+        match netlist.input_port(&name) {
+            None => return Err(format!("netlist lacks model input port `{name}`")),
+            Some(p) if p.width() < bits => {
+                return Err(format!(
+                    "netlist input port `{name}` is {} bits wide, model samples need {bits}",
+                    p.width()
+                ))
+            }
+            Some(_) => {}
+        }
     }
     let out = if model.kind.is_classifier() { "class" } else { "score0" };
     if netlist.output_port(out).is_none() {
@@ -319,6 +338,37 @@ mod tests {
             format!("{}netlist\n{}end\n", &text[..idx], pax_netlist::textio::to_text(&wrong));
         let err = Artifact::from_text(&spliced).expect_err("interface mismatch must be rejected");
         assert!(err.contains("input ports"), "{err}");
+    }
+
+    /// A renamed input port loads as an error naming the missing port,
+    /// not as an artifact whose accuracy check panics on the stimulus.
+    #[test]
+    fn renamed_input_port_is_rejected() {
+        let (art, _) = exported();
+        let text = art.to_text();
+        let width = art.model.spec.input_bits;
+        let renamed = text.replacen(&format!("input x0 {width}"), &format!("input 0 {width}"), 1);
+        assert_ne!(renamed, text, "the netlist section declares `x0`");
+        let err = Artifact::from_text(&renamed).expect_err("`x0` is gone");
+        assert!(err.contains("`x0`"), "{err}");
+    }
+
+    /// A model spec wider than the netlist's input ports loads as an
+    /// error naming the port, not as an artifact whose accuracy check
+    /// panics on a sample that does not fit.
+    #[test]
+    fn input_port_narrower_than_the_model_spec_is_rejected() {
+        let (art, _) = exported();
+        let text = art.to_text();
+        let spec = &art.model.spec;
+        let (from, to) = (
+            format!("spec {} {} {}", spec.input_bits, spec.coef_bits, spec.hidden_bits),
+            format!("spec {} {} {}", spec.input_bits + 3, spec.coef_bits, spec.hidden_bits),
+        );
+        let widened = text.replacen(&from, &to, 1);
+        assert_ne!(widened, text, "the model section declares its spec");
+        let err = Artifact::from_text(&widened).expect_err("samples no longer fit `x0`");
+        assert!(err.contains("`x0`"), "{err}");
     }
 
     #[test]

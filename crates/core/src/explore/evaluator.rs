@@ -13,9 +13,13 @@
 //! [`Evaluator`] is the one place candidate evaluations are dispatched.
 //! It keeps one table of contexts, one per coefficient gene: the base
 //! circuit with its pruning analysis, and an [`OverlayContext`] built
-//! on first use and shared by `Arc`. Both dispatch shapes read that
-//! table, and both run the same stateless call,
-//! [`OverlayContext::evaluate`]:
+//! on first use and shared by `Arc`. Contexts are built across the
+//! [`par`](crate::par) pool, one per worker at a time:
+//! [`Evaluator::space`] materializes every still-lazy base circuit in
+//! one parallel map, and each [`Evaluator::evaluate_batch`] builds the
+//! overlays its fresh candidates need in another, before dispatching
+//! them. Both dispatch shapes read that table, and both run the same
+//! stateless call, [`OverlayContext::evaluate`]:
 //!
 //! * **local** ([`EvalMode::Overlay`]): the [`par`](crate::par) pool's
 //!   workers take fresh candidates one at a time in batch order, each
@@ -148,13 +152,18 @@ struct Shared {
 struct ContextSlot {
     gene: CoeffGene,
     /// Set at construction for caller-provided contexts; materialized
-    /// from the [`CoeffAxis`] on first access otherwise (the `OnceLock`
-    /// keeps concurrent workers from racing the synthesis).
+    /// from the [`CoeffAxis`] on first access otherwise — for every
+    /// lazy slot at once, across the pool, by [`Evaluator::space`]
+    /// (the `OnceLock` keeps concurrent workers from racing the
+    /// synthesis).
     base: OnceLock<Base>,
-    /// The overlay, built lazily on the first overlay-mode or fabric
-    /// evaluation — an evaluator pinned to [`EvalMode::Rebuild`] never
-    /// pays for overlay setup. Construction failures (library gaps,
-    /// malformed stimuli) surface per evaluation, mirroring the rebuild
+    /// The overlay, built lazily by the first overlay-mode or fabric
+    /// batch with a fresh candidate on this context — that batch builds
+    /// every overlay it needs across the pool before evaluating. An
+    /// evaluator pinned to [`EvalMode::Rebuild`] never pays for overlay
+    /// setup, and a context no candidate touches builds none.
+    /// Construction failures (library gaps, malformed stimuli) stay in
+    /// the slot and surface per evaluation, mirroring the rebuild
     /// path's timing.
     shared: OnceLock<Result<Arc<Shared>, StudyError>>,
 }
@@ -449,9 +458,15 @@ impl<'a> Evaluator<'a> {
     /// plus each context's per-gate (τ, φ) metrics, which strategies
     /// use to enumerate or sample thresholds. Strategies need every
     /// context's gate metrics to search it, so this materializes any
-    /// still-lazy coefficient contexts (their overlay tapes stay lazy —
-    /// those are only built when an overlay-mode evaluation lands).
+    /// still-lazy coefficient contexts, one per pool worker at a time
+    /// (their overlay tapes stay lazy — those are only built when an
+    /// overlay-mode evaluation lands).
     pub fn space(&self, cfg: &PruneConfig) -> SearchSpace {
+        let lazy: Vec<usize> =
+            (0..self.contexts.len()).filter(|&i| self.contexts[i].base.get().is_none()).collect();
+        par::map(&lazy, self.threads, 1, |&i| {
+            self.base(i);
+        });
         SearchSpace {
             tau_values: cfg.tau_values(),
             contexts: (0..self.contexts.len())
@@ -538,6 +553,9 @@ impl<'a> Evaluator<'a> {
             keys.push(key);
         }
         let new_evals = fresh.len();
+        if self.mode != EvalMode::Rebuild {
+            self.build_overlays(&fresh);
+        }
         let evals = match self.mode {
             EvalMode::Fabric => self.run_fabric(fresh)?,
             EvalMode::Overlay | EvalMode::Rebuild => self.run_local(&fresh)?,
@@ -571,6 +589,24 @@ impl<'a> Evaluator<'a> {
             || (),
             |(), c| Ok((self.context_index(c.coeff)?, self.gate_set(c)?)),
         )
+    }
+
+    /// Builds the overlays of the distinct contexts in `fresh` that
+    /// have none yet, one per pool worker at a time (a single one on
+    /// the calling thread). Each result, a construction error included,
+    /// stays in its slot, so the evaluation that reads it reports it
+    /// exactly as a lazy build would.
+    fn build_overlays(&self, fresh: &[Fresh]) {
+        let mut todo: Vec<usize> = fresh
+            .iter()
+            .map(|&(_, ctx_idx, _)| ctx_idx)
+            .filter(|&i| self.contexts[i].shared.get().is_none())
+            .collect();
+        todo.sort_unstable();
+        todo.dedup();
+        par::map(&todo, self.threads, 1, |&i| {
+            let _ = self.shared(i);
+        });
     }
 
     /// Runs the fresh evaluations on the [`par`] pool in batch order.

@@ -16,8 +16,8 @@
 //!   [cone pass](pax_sim::CompiledNetlist::run_cone): pruned gates
 //!   skip to their dominant constant via two reserved constant slots,
 //!   only the pruned set's transitive fanout re-executes, and every
-//!   other value is read from the trace — outputs and switching
-//!   activity bit-identical to a full tracked run of the rebuilt
+//!   other value is read from the trace — outputs and per-net toggle
+//!   counts bit-identical to a full tracked run of the rebuilt
 //!   netlist;
 //! * the candidate's **surviving structure** comes from the symbolic
 //!   fold ([`FoldedCircuit`]) — node-for-node the netlist
@@ -64,7 +64,7 @@ use pax_netlist::fold::{FoldIndex, FoldScratch, FoldedCircuit};
 use pax_netlist::{GateKind, NetId, Netlist};
 use pax_obs::Phases;
 use pax_sim::power::PowerReport;
-use pax_sim::{Activity, BaseTrace, CompiledNetlist, ConeScratch};
+use pax_sim::{BaseTrace, CompiledNetlist, ConeScratch, ConeToggles};
 use pax_sta::DelayTable;
 
 use super::{PruneAnalysis, PruneEval};
@@ -301,19 +301,15 @@ impl OverlayContext {
     ) -> Result<PruneEval, StudyError> {
         let mask: Vec<(NetId, bool)> = set.iter().map(|&g| (g, analysis.dominant(g))).collect();
         let affected = self.affected_cone(&mask);
-        let cone = &mut scratch.cone;
-        let sim = self
-            .phases
-            .time(phase::MASKED_SIM, || self.tape.run_cone(&self.trace, &mask, &affected, cone));
-        let (accuracy, _) = self
-            .phases
-            .time(phase::SCORE, || score_outputs(&self.model, &self.test, sim.outputs()));
-        let fold = &mut scratch.fold;
-        let folded = self.phases.time(phase::FOLD, move || {
-            let fold = fold;
-            self.index.fold(&mask, fold)
+        let (cone, fold) = (&mut scratch.cone, &mut scratch.fold);
+        let (mask_ref, affected_ref) = (&mask, &affected);
+        let (outputs, toggles) = self.phases.time(phase::MASKED_SIM, move || {
+            self.tape.run_cone(&self.trace, mask_ref, affected_ref, cone)
         });
-        let eval = self.survivor_walk(set.len(), &affected, accuracy, &sim.activity, folded);
+        let (accuracy, _) =
+            self.phases.time(phase::SCORE, || score_outputs(&self.model, &self.test, &outputs));
+        let folded = self.phases.time(phase::FOLD, move || self.index.fold(mask_ref, fold));
+        let eval = self.survivor_walk(set.len(), &affected, accuracy, toggles, folded);
         self.folds.fetch_add(1, Ordering::Relaxed);
         self.refolded.fetch_add(scratch.fold.refolded() as u64, Ordering::Relaxed);
         eval
@@ -358,7 +354,7 @@ impl OverlayContext {
         n_pruned: usize,
         affected: &[bool],
         accuracy: f64,
-        activity: &Activity,
+        toggles: ConeToggles<'_>,
         folded: &FoldedCircuit,
     ) -> Result<PruneEval, StudyError> {
         let retime_start = std::time::Instant::now();
@@ -378,7 +374,7 @@ impl OverlayContext {
             let prov = folded.provenance(i).expect("non-constant folded nodes carry provenance");
             // Toggle counts survive inversion, so the masked base slot
             // stands in for the surviving gate's output exactly.
-            dynamic_uw += cell.sw_energy_nj * activity.toggle_rate(prov.source) * f_hz * 1e-3;
+            dynamic_uw += cell.sw_energy_nj * toggles.toggle_rate(prov.source) * f_hz * 1e-3;
             if !prov.inverted && !affected[prov.source.index()] {
                 arrival[i] = self.base_arrival[prov.source.index()];
             } else {

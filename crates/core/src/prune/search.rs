@@ -77,8 +77,10 @@ pub fn enumerate_grid(analysis: &PruneAnalysis, cfg: &PruneConfig) -> PruneGrid 
     let mut dedup: HashMap<u64, usize> = HashMap::new();
 
     for tau_c in cfg.tau_values() {
-        // Step 3: gates whose dominant-value fraction meets the
-        // threshold (see DESIGN.md on the τ ≥ τc reading).
+        // The paper's step 3: gates whose dominant-value fraction τ
+        // reaches the threshold (τ ≥ τc, with a 1e-12 slack so grid τc
+        // values that land a rounding step above a gate's τ still
+        // qualify it; the module docs give the τ/φ rules).
         let qualified: Vec<NetId> = analysis
             .candidates
             .iter()

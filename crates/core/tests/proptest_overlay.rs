@@ -20,7 +20,9 @@
 //! * every `Evaluator` path (overlay, rebuild, fabric) surfacing
 //!   library gaps as `StudyError` instead of panicking;
 //! * evaluator telemetry counting each evaluation once, in-process and
-//!   through a fabric.
+//!   through a fabric;
+//! * a lazy coefficient axis, whose contexts build across the worker
+//!   pool, matching contexts built one at a time and given up front.
 //!
 //! Run with a fixed seed (`PAX_PROPTEST_SEED=<n>`) for reproducible
 //! case streams — CI pins one in the `overlay-differential` job.
@@ -30,10 +32,10 @@ use std::sync::Arc;
 
 use egt_pdk::{Library, TechParams};
 use pax_bespoke::BespokeCircuit;
-use pax_core::coeff_approx::CoeffApproxConfig;
+use pax_core::coeff_approx::{approximate_model_layers, CoeffApproxConfig};
 use pax_core::explore::{
     Candidate, CoeffAxis, CoeffGene, Engine, EvalCache, EvalContext, EvalFabric, EvalMode,
-    Evaluator, ExhaustiveGrid, FabricError, FabricJob,
+    Evaluator, ExhaustiveGrid, FabricError, FabricJob, SearchSpace, MAX_COEFF_LAYERS,
 };
 use pax_core::mult_cache::MultCache;
 use pax_core::prune::{
@@ -441,4 +443,143 @@ proptest! {
             prop_assert_eq!(pa.gate_count, pb.gate_count);
         }
     }
+}
+
+/// A two-layer MLP and its splits, for the nine-gene coefficient axis
+/// (`levels` 2 and 4 on both layers).
+fn mlp_axis_fixture() -> AxisFixture {
+    let data = blobs("ovm", 240, 3, 3, 0.09, 44);
+    let (train, test) = data.split(0.7, 1);
+    let (train, test) = pax_ml::normalize(&train, &test);
+    let mlp = pax_ml::train::mlp::train_mlp_classifier(
+        &train,
+        &pax_ml::train::mlp::MlpParams { hidden: 3, epochs: 60, ..Default::default() },
+        5,
+    );
+    let model = QuantizedModel::from_mlp("ovm", &mlp, 3, QuantSpec::default());
+    let netlist = pax_synth::opt::optimize(&BespokeCircuit::generate(&model).netlist);
+    let analysis = analyze(&netlist, &model, &train);
+    AxisFixture { model, netlist, analysis, train, test }
+}
+
+fn assert_same_space(a: &SearchSpace, b: &SearchSpace) {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&a.tau_values), bits(&b.tau_values), "τc values");
+    assert_eq!(a.contexts.len(), b.contexts.len(), "context count");
+    for (ca, cb) in a.contexts.iter().zip(&b.contexts) {
+        assert_eq!(ca.gene, cb.gene);
+        let gates = |c: &pax_core::explore::ContextSpace| {
+            c.gates.iter().map(|&(tau, phi)| (tau.to_bits(), phi)).collect::<Vec<_>>()
+        };
+        assert_eq!(gates(ca), gates(cb), "gate metrics of gene {}", ca.gene);
+    }
+}
+
+/// Contexts built across the pool are the contexts a caller builds one
+/// at a time: a lazy nine-gene MLP axis gives, bit for bit, the search
+/// space and the exhaustive grid's every design point of an evaluator
+/// handed each context up front, built in gene order with the axis's
+/// own pipeline (approximate → generate → optimize → analyze).
+#[test]
+fn pooled_context_build_equals_contexts_given_up_front() {
+    let f = mlp_axis_fixture();
+    let lib = egt_pdk::egt_library();
+    let tech = TechParams::egt();
+    let cache = MultCache::new(lib.clone());
+    let (cfg, levels) = (CoeffApproxConfig::default(), vec![2i64, 4]);
+    let exact = EvalContext {
+        coeff: CoeffGene::exact(),
+        netlist: &f.netlist,
+        model: &f.model,
+        analysis: f.analysis.clone(),
+    };
+    let lazy = Evaluator::new(&lib, &tech, &f.test, vec![exact]).with_coeff_axis(CoeffAxis {
+        model: &f.model,
+        train: &f.train,
+        cache: &cache,
+        cfg: cfg.clone(),
+        levels: levels.clone(),
+    });
+    let genes = lazy.genes();
+    assert_eq!(genes.len(), 9, "two layers × three levels each");
+    let built: Vec<_> = genes
+        .iter()
+        .map(|&gene| {
+            let widths: Vec<i64> = (0..MAX_COEFF_LAYERS)
+                .map(|layer| match gene.level(layer) {
+                    0 => 0,
+                    level => levels[usize::from(level) - 1],
+                })
+                .collect();
+            let (model, _) = approximate_model_layers(&f.model, &cache, &cfg, &widths);
+            let netlist = pax_synth::opt::optimize(&BespokeCircuit::generate(&model).netlist);
+            let analysis = analyze(&netlist, &model, &f.train);
+            (gene, model, netlist, analysis)
+        })
+        .collect();
+    let given = Evaluator::new(
+        &lib,
+        &tech,
+        &f.test,
+        built
+            .iter()
+            .map(|(coeff, model, netlist, analysis)| EvalContext {
+                coeff: *coeff,
+                netlist,
+                model,
+                analysis: analysis.clone(),
+            })
+            .collect(),
+    );
+    let prune = PruneConfig::default();
+    assert_same_space(&lazy.space(&prune), &given.space(&prune));
+    let a = Engine::new(&lazy, &prune).run(&mut ExhaustiveGrid::new()).expect("lazy grid");
+    let b = Engine::new(&given, &prune).run(&mut ExhaustiveGrid::new()).expect("given grid");
+    assert_eq!(a.points.len(), b.points.len());
+    assert!(a.points.iter().any(|(c, _)| !c.coeff.is_exact()), "the grid covers graded genes");
+    for ((ca, pa), (cb, pb)) in a.points.iter().zip(&b.points) {
+        assert_eq!(ca, cb);
+        assert_eq!(
+            (pa.technique, pa.tau_c.map(f64::to_bits), pa.phi_c, pa.coeff, pa.gate_count),
+            (pb.technique, pb.tau_c.map(f64::to_bits), pb.phi_c, pb.coeff, pb.gate_count),
+            "{ca:?}"
+        );
+        assert_eq!(pa.accuracy.to_bits(), pb.accuracy.to_bits(), "{ca:?}");
+        assert_eq!(pa.area_mm2.to_bits(), pb.area_mm2.to_bits(), "{ca:?}");
+        assert_eq!(pa.power_mw.to_bits(), pb.power_mw.to_bits(), "{ca:?}");
+        assert_eq!(pa.critical_ms.to_bits(), pb.critical_ms.to_bits(), "{ca:?}");
+    }
+}
+
+/// Building the search space needs no cell library — the pooled
+/// materialization succeeds with an empty one — and the first fresh
+/// evaluation still reports the gap as `StudyError::Library`.
+#[test]
+fn pooled_space_needs_no_library_and_evaluation_reports_it() {
+    let f = axis_fixture(2);
+    let empty = Library::new("empty", 1.0);
+    let tech = TechParams::egt();
+    let cache = MultCache::new(egt_pdk::egt_library());
+    let exact = EvalContext {
+        coeff: CoeffGene::exact(),
+        netlist: &f.netlist,
+        model: &f.model,
+        analysis: f.analysis.clone(),
+    };
+    let evaluator =
+        Evaluator::new(&empty, &tech, &f.test, vec![exact]).with_coeff_axis(CoeffAxis {
+            model: &f.model,
+            train: &f.train,
+            cache: &cache,
+            cfg: CoeffApproxConfig::default(),
+            levels: vec![2, 4],
+        });
+    let space = evaluator.space(&PruneConfig::default());
+    assert_eq!(space.contexts.len(), evaluator.genes().len());
+    let batch: Vec<Candidate> =
+        space.contexts.iter().map(|c| Candidate { coeff: c.gene, tau_c: 0.8, phi_c: 4 }).collect();
+    let err = evaluator
+        .evaluate_batch(&batch, &mut EvalCache::new(), None)
+        .expect_err("an empty library cannot measure a candidate");
+    assert!(matches!(err, StudyError::Library(_)), "got {err}");
 }

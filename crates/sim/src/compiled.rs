@@ -32,7 +32,11 @@
 //!   some gates to constants. [`run_cone`](CompiledNetlist::run_cone)
 //!   re-executes only the pinned gates' transitive fanout, reading
 //!   every other value from one recorded unmasked run
-//!   ([`BaseTrace`]); the result equals
+//!   ([`BaseTrace`]). It runs one instruction at a time over all its
+//!   words: one kind dispatch, then a word loop the compiler
+//!   vectorizes, then one toggle count over the finished column. It
+//!   returns the outputs and a [`ConeToggles`] view (fresh counts in
+//!   the cone, the trace's outside it), both equal to
 //!   [`run_masked_with_activity`](CompiledNetlist::run_masked_with_activity)'s
 //!   bit for bit;
 //! * **sequential word execution** — every entry point runs its words
@@ -46,7 +50,8 @@
 //! [`try_simulate`](crate::try_simulate) and to the scalar
 //! [`eval_ports`](pax_netlist::eval::eval_ports) reference by the
 //! differential property suite in `tests/proptest_engine.rs` — compiled
-//! == interpreted, at both word widths, and cone pass == masked run.
+//! == interpreted, at both word widths, and cone pass == masked run
+//! (ports and every net's toggles; the cone pass counts no `ones`).
 //!
 //! # Examples
 //!
@@ -200,6 +205,43 @@ pub struct ConeScratch {
     /// Column-major values: the all-zero and the all-one column, then
     /// one column per cone instruction.
     cols: Vec<u64>,
+    /// Toggle count of each column of `cols` (0 for the constants).
+    toggles: Vec<u64>,
+}
+
+/// The per-net toggle counts of one [`CompiledNetlist::run_cone`]
+/// pass: a net the pass re-executed reads its cone column's fresh
+/// count, every other net the trace's base count — together exactly
+/// the toggles of
+/// [`run_masked_with_activity`](CompiledNetlist::run_masked_with_activity).
+#[derive(Debug, Clone, Copy)]
+pub struct ConeToggles<'a> {
+    n_samples: usize,
+    /// The trace's base count of every net.
+    base: &'a [u64],
+    col_of: &'a [u32],
+    counts: &'a [u64],
+}
+
+impl ConeToggles<'_> {
+    /// Transitions between consecutive samples for `net`.
+    #[inline]
+    pub fn toggles(&self, net: NetId) -> u64 {
+        match self.col_of[net.index()] {
+            u32::MAX => self.base[net.index()],
+            col => self.counts[col as usize],
+        }
+    }
+
+    /// Average toggles per sample — the same expression as
+    /// [`Activity::toggle_rate`], so the two agree bit for bit.
+    #[inline]
+    pub fn toggle_rate(&self, net: NetId) -> f64 {
+        if self.n_samples <= 1 {
+            return 0.0;
+        }
+        self.toggles(net) as f64 / (self.n_samples - 1) as f64
+    }
 }
 
 impl CompiledNetlist {
@@ -409,7 +451,7 @@ impl CompiledNetlist {
         BaseTrace { n_samples: p.n_samples, n_words, cols, ones, toggles }
     }
 
-    /// The cone pass: outputs and full activity of the `mask`ed tape,
+    /// The cone pass: outputs and per-net toggles of the `mask`ed tape,
     /// from a [`trace`](Self::trace) of the same stimulus, in one pass
     /// over the affected cone's instructions in tape order.
     ///
@@ -419,28 +461,30 @@ impl CompiledNetlist {
     /// does. `affected[slot]` must be `true` for every masked net and
     /// every net in their transitive fanout; any superset gives the
     /// same result. Only instructions writing an affected slot execute,
-    /// each over all words at once; every other operand and output bit
-    /// is read from the trace, whose values are word-for-word those of
-    /// the masked run. Only cone slots are re-counted, under
+    /// each over all words at once: one kind dispatch, then a word loop
+    /// over operand columns; every other operand and output bit is read
+    /// from the trace, whose values are word-for-word those of the
+    /// masked run. Each finished cone column is counted once, under
     /// [`run_masked_with_activity`](Self::run_masked_with_activity)'s
-    /// lane and toggle-boundary rules, so the result equals its bit for
-    /// bit.
+    /// lane and toggle-boundary rules, so the outputs and the returned
+    /// [`ConeToggles`] equal its outputs and toggles bit for bit. The
+    /// pass counts no `ones`: no masked candidate reads them.
     ///
     /// # Panics
     ///
     /// Panics if a masked net is not driven by a (non-constant) gate
     /// instruction of this tape, or lies outside `affected`.
-    pub fn run_cone(
+    pub fn run_cone<'a>(
         &self,
-        trace: &BaseTrace,
+        trace: &'a BaseTrace,
         mask: &[(NetId, bool)],
         affected: &[bool],
-        scratch: &mut ConeScratch,
-    ) -> SimResult {
+        scratch: &'a mut ConeScratch,
+    ) -> (SimOutputs, ConeToggles<'a>) {
         debug_assert!(mask.windows(2).all(|w| w[0].0 < w[1].0), "mask must be id-sorted");
         let nw = trace.n_words;
         let zero = self.n_slots as u32;
-        let ConeScratch { col_of, cone, cols } = scratch;
+        let ConeScratch { col_of, cone, cols, toggles } = scratch;
         col_of.clear();
         col_of.resize(self.n_slots + 2, u32::MAX);
         (col_of[zero as usize], col_of[zero as usize + 1]) = (0, 1);
@@ -461,11 +505,17 @@ impl CompiledNetlist {
             (i.a, i.b, i.c) = const_operands(kind, value, zero, zero + 1);
         }
 
-        cols.resize((2 + cone.len()) * nw, 0);
+        // Grow only: every column this pass reads it writes first, so
+        // a stale tail is never read, and shrinking would make the next
+        // larger cone zero-fill its columns again.
+        if cols.len() < (2 + cone.len()) * nw {
+            cols.resize((2 + cone.len()) * nw, 0);
+        }
         cols[..nw].fill(0);
         cols[nw..2 * nw].fill(u64::MAX);
-        let mut ones = trace.ones.clone();
-        let mut toggles = trace.toggles.clone();
+        toggles.clear();
+        toggles.extend([0, 0]);
+        let tail_mask = lane_mask(trace.n_samples, nw - 1);
         for (k, &(kind, i)) in cone.iter().enumerate() {
             // Operands are constants, earlier cone columns or the trace.
             let (done, rest) = cols.split_at_mut((2 + k) * nw);
@@ -474,31 +524,27 @@ impl CompiledNetlist {
                 u32::MAX => trace.col(slot as usize),
                 c => &done[c as usize * nw..(c as usize + 1) * nw],
             };
-            let (a, b, c) = (operand(0, i.a), operand(1, i.b), operand(2, i.c));
-            let (mut n_ones, mut n_toggles, mut prev) = (0, 0, 0);
-            for (w, out) in rest[..nw].iter_mut().enumerate() {
-                *out = kind.eval_word(a[w], b[w], c[w]);
-                let (o, t) = count_word(*out, w, trace.n_samples, &mut prev);
-                n_ones += o;
-                n_toggles += t;
-            }
-            ones[i.dst as usize] = n_ones;
-            toggles[i.dst as usize] = n_toggles;
+            let out = &mut rest[..nw];
+            eval_column(kind, out, operand(0, i.a), operand(1, i.b), operand(2, i.c));
+            toggles.push(column_toggles(out, tail_mask));
         }
 
         let flat = self
             .output_slots
             .iter()
             .map(|&slot| {
-                let col = match col_of[slot as usize] {
+                let mut plane = match col_of[slot as usize] {
                     u32::MAX => trace.col(slot as usize),
                     c => &cols[c as usize * nw..(c as usize + 1) * nw],
-                };
-                col.iter().enumerate().map(|(w, &v)| v & lane_mask(trace.n_samples, w)).collect()
+                }
+                .to_vec();
+                plane[nw - 1] &= tail_mask;
+                plane
             })
             .collect();
         let n_samples = trace.n_samples;
-        SimResult::new(Activity::new(n_samples, ones, toggles), self.outputs(n_samples, flat))
+        let outputs = self.outputs(n_samples, flat);
+        (outputs, ConeToggles { n_samples, base: &trace.toggles, col_of, counts: toggles })
     }
 
     /// Executes the tape on `stim` with full per-net activity
@@ -632,6 +678,59 @@ fn count_word(v: u64, w: usize, n_samples: usize, prev: &mut u64) -> (u64, u64) 
     }
     *prev = v >> (valid - 1) & 1;
     (u64::from((v & mask).count_ones()), u64::from(diff.count_ones()))
+}
+
+/// Evaluates one gate of `kind` over whole columns: one kind
+/// dispatch, then a word loop per kind. Every arm hands
+/// [`GateKind::eval_word`] a constant kind, so the match inside it
+/// folds away and each loop is a plain slice expression the compiler
+/// vectorizes.
+fn eval_column(kind: GateKind, out: &mut [u64], a: &[u64], b: &[u64], c: &[u64]) {
+    #[inline(always)]
+    fn words(kind: GateKind, out: &mut [u64], a: &[u64], b: &[u64], c: &[u64]) {
+        let (a, b, c) = (&a[..out.len()], &b[..out.len()], &c[..out.len()]);
+        for w in 0..out.len() {
+            out[w] = kind.eval_word(a[w], b[w], c[w]);
+        }
+    }
+    use GateKind::*;
+    match kind {
+        Const0 => words(Const0, out, a, b, c),
+        Const1 => words(Const1, out, a, b, c),
+        Buf => words(Buf, out, a, b, c),
+        Not => words(Not, out, a, b, c),
+        And2 => words(And2, out, a, b, c),
+        Nand2 => words(Nand2, out, a, b, c),
+        Or2 => words(Or2, out, a, b, c),
+        Nor2 => words(Nor2, out, a, b, c),
+        And3 => words(And3, out, a, b, c),
+        Or3 => words(Or3, out, a, b, c),
+        Nand3 => words(Nand3, out, a, b, c),
+        Nor3 => words(Nor3, out, a, b, c),
+        Xor2 => words(Xor2, out, a, b, c),
+        Xnor2 => words(Xnor2, out, a, b, c),
+        Mux2 => words(Mux2, out, a, b, c),
+    }
+}
+
+/// Toggles of one finished value column — the sum of [`count_word`]'s
+/// toggles over its words, with the lane masks hoisted: every word but
+/// the last is full (its last sample is bit 63), only word 0 drops the
+/// first sample, and only the tail word is masked, by `tail_mask`.
+fn column_toggles(col: &[u64], tail_mask: u64) -> u64 {
+    let last = col.len() - 1;
+    let first = (col[0] ^ (col[0] << 1)) & !1;
+    if last == 0 {
+        return u64::from((first & tail_mask).count_ones());
+    }
+    let step = |v: u64, prev: u64| v ^ ((v << 1) | (prev >> 63));
+    let full: u64 = col[1..last]
+        .iter()
+        .zip(&col[..last - 1])
+        .map(|(&v, &prev)| u64::from(step(v, prev).count_ones()))
+        .sum();
+    let tail = step(col[last], col[last - 1]) & tail_mask;
+    u64::from(first.count_ones()) + full + u64::from(tail.count_ones())
 }
 
 #[inline]
@@ -809,14 +908,45 @@ mod tests {
         affected
     }
 
-    /// The cone pass over `mask`'s fanout cone, with fresh scratch.
-    fn cone_pass(
+    /// Runs the cone pass over `affected` and asserts it equals `want`:
+    /// every output port, and every net's toggles and toggle rate
+    /// through the returned view. Returns the pass's outputs.
+    fn check_cone_with(
+        c: &CompiledNetlist,
+        trace: &BaseTrace,
+        mask: &[(NetId, bool)],
+        affected: &[bool],
+        scratch: &mut ConeScratch,
+        want: &SimResult,
+        what: &str,
+    ) -> SimOutputs {
+        let (outputs, toggles) = c.run_cone(trace, mask, affected, scratch);
+        for port in want.outputs().ports() {
+            assert_eq!(outputs.port_values(port), want.port_values(port), "{what}: {port}");
+        }
+        for i in 0..c.n_slots() {
+            let net = NetId::from_index(i);
+            assert_eq!(toggles.toggles(net), want.activity.toggles(net), "{what}: toggles {i}");
+            assert_eq!(
+                toggles.toggle_rate(net).to_bits(),
+                want.activity.toggle_rate(net).to_bits(),
+                "{what}: toggle rate {i}"
+            );
+        }
+        outputs
+    }
+
+    /// [`check_cone_with`] over `mask`'s fanout cone, with fresh scratch.
+    fn check_cone(
         nl: &Netlist,
         c: &CompiledNetlist,
         trace: &BaseTrace,
         mask: &[(NetId, bool)],
-    ) -> SimResult {
-        c.run_cone(trace, mask, &fanout_cone(nl, mask), &mut ConeScratch::default())
+        want: &SimResult,
+        what: &str,
+    ) -> SimOutputs {
+        let affected = fanout_cone(nl, mask);
+        check_cone_with(c, trace, mask, &affected, &mut ConeScratch::default(), want, what)
     }
 
     /// Asserts equal output ports and equal per-net ones and toggles.
@@ -878,20 +1008,20 @@ mod tests {
         nets.push(out);
         for &net in &nets {
             for value in [false, true] {
-                let got = cone_pass(&nl, &compiled, &trace, &[(net, value)]);
                 let oracle = compiled.run_masked_with_activity(&packed, &[(net, value)]);
-                assert_same(&nl, &got, &oracle, &format!("net {net} value {value}"));
+                let what = format!("net {net} value {value}");
+                check_cone(&nl, &compiled, &trace, &[(net, value)], &oracle, &what);
             }
         }
         // Multiple masks inside one cone compose.
         let pair = [(internals[0], true), (internals[2], false)];
-        let got = cone_pass(&nl, &compiled, &trace, &pair);
-        assert_same(&nl, &got, &compiled.run_masked_with_activity(&packed, &pair), "pair");
+        let oracle = compiled.run_masked_with_activity(&packed, &pair);
+        check_cone(&nl, &compiled, &trace, &pair, &oracle, "pair");
         // A mask inside the cone plus one on its output: the output wins.
         let both = [(internals[1], true), (out, false)];
-        let got = cone_pass(&nl, &compiled, &trace, &both);
-        assert_same(&nl, &got, &compiled.run_masked_with_activity(&packed, &both), "both");
-        assert_eq!(got.port_values("y"), vec![0; got.n_samples]);
+        let oracle = compiled.run_masked_with_activity(&packed, &both);
+        let got = check_cone(&nl, &compiled, &trace, &both, &oracle, "both");
+        assert_eq!(got.port_values("y"), vec![0; got.n_samples()]);
     }
 
     #[test]
@@ -937,15 +1067,15 @@ mod tests {
         let mut nets = internals.clone();
         nets.push(out);
         let everything = vec![true; nl.len()];
+        let mut scratch = ConeScratch::default();
         for &net in &nets {
             for value in [false, true] {
                 let mask = [(net, value)];
                 let oracle = compiled.run_masked_with_activity(&packed, &mask);
                 let what = format!("mask {net}={value}");
-                assert_same(&nl, &cone_pass(&nl, &compiled, &trace, &mask), &oracle, &what);
-                let all =
-                    compiled.run_cone(&trace, &mask, &everything, &mut ConeScratch::default());
-                assert_same(&nl, &all, &oracle, &format!("{what}, all affected"));
+                check_cone(&nl, &compiled, &trace, &mask, &oracle, &what);
+                let (what, all) = (format!("{what}, all affected"), &everything);
+                check_cone_with(&compiled, &trace, &mask, all, &mut scratch, &oracle, &what);
             }
         }
     }
@@ -979,9 +1109,10 @@ mod tests {
             vec![],
         ];
         for mask in &chain {
-            let got = tape.run_cone(&trace, mask, &fanout_cone(&nl, mask), &mut scratch);
             let oracle = tape.run_masked_with_activity(&packed, mask);
-            assert_same(&nl, &got, &oracle, &format!("mask {mask:?}"));
+            let affected = fanout_cone(&nl, mask);
+            let what = format!("mask {mask:?}");
+            check_cone_with(&tape, &trace, mask, &affected, &mut scratch, &oracle, &what);
         }
     }
 
@@ -1074,9 +1205,8 @@ mod tests {
                 let n = got.n_samples as u64;
                 assert_eq!(got.activity.ones(g), if value { n } else { 0 }, "gate {g}");
                 assert_eq!(got.activity.toggles(g), 0, "gate {g}");
-                // The cone pass returns the same ports and activity.
-                let cone = cone_pass(&nl, &compiled, &trace, &[(g, value)]);
-                assert_same(&nl, &cone, &got, &format!("cone pass, gate {g}"));
+                // The cone pass returns the same ports and toggles.
+                check_cone(&nl, &compiled, &trace, &[(g, value)], &got, &format!("cone, gate {g}"));
                 // Reference: rebuild the netlist with the gate's output
                 // bit replaced by a constant in the output port.
                 let y = nl.output_ports()[0].clone();
@@ -1124,8 +1254,7 @@ mod tests {
         let trace = c.trace(&packed);
         // The cone pass agrees with the tracked masked run.
         let tracked = c.run_masked_with_activity(&packed, &[(mask_net, true)]);
-        let cone = cone_pass(&nl, &c, &trace, &[(mask_net, true)]);
-        assert_same(&nl, &cone, &tracked, "masked AND3");
+        check_cone(&nl, &c, &trace, &[(mask_net, true)], &tracked, "masked AND3");
         // The packed entry points agree with the stimulus-taking ones.
         assert_eq!(packed.n_samples(), 800);
         let a = c.run_packed_with_activity(&packed);
@@ -1133,7 +1262,7 @@ mod tests {
         assert_eq!(a.port_values("y"), b.port_values("y"));
         assert_eq!(c.run_packed(&packed).port_values("y"), b.port_values("y"));
         // An empty mask degenerates to the unmasked run.
-        assert_same(&nl, &cone_pass(&nl, &c, &trace, &[]), &b, "empty mask, cone pass");
+        check_cone(&nl, &c, &trace, &[], &b, "empty mask, cone pass");
         assert_same(&nl, &c.run_masked_with_activity(&packed, &[]), &b, "empty mask, oracle");
     }
 
@@ -1144,7 +1273,10 @@ mod tests {
         let compiled = CompiledNetlist::compile(&nl);
         let packed = compiled.pack(&exhaustive_stim(3, 2)).unwrap();
         let input_net = nl.input_ports()[0].bits[0];
-        let _ = cone_pass(&nl, &compiled, &compiled.trace(&packed), &[(input_net, true)]);
+        let mask = [(input_net, true)];
+        let affected = fanout_cone(&nl, &mask);
+        let trace = compiled.trace(&packed);
+        let _ = compiled.run_cone(&trace, &mask, &affected, &mut ConeScratch::default());
     }
 
     #[test]
@@ -1166,6 +1298,31 @@ mod tests {
         let packed = compiled.pack(&exhaustive_stim(3, 2)).unwrap();
         let input_net = nl.input_ports()[0].bits[0];
         let _ = compiled.run_masked_with_activity(&packed, &[(input_net, true)]);
+    }
+
+    /// The hoisted column count equals [`count_word`] summed word by
+    /// word, for every tail length from 1 to 64 lanes and columns of 1
+    /// to 60 words.
+    #[test]
+    fn column_toggles_equal_word_by_word_counts() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for nw in 1..=60usize {
+            for tail in 1..=64usize {
+                let n_samples = (nw - 1) * 64 + tail;
+                let col: Vec<u64> = (0..nw).map(|_| next()).collect();
+                let mut prev = 0;
+                let want: u64 =
+                    (0..nw).map(|w| count_word(col[w], w, n_samples, &mut prev).1).sum();
+                let got = column_toggles(&col, lane_mask(n_samples, nw - 1));
+                assert_eq!(got, want, "{nw} words, {tail} tail lanes");
+            }
+        }
     }
 
     #[test]

@@ -34,12 +34,15 @@
 //! * Evaluating **masked variants** of one netlist (the pruning
 //!   search's candidates): record one [`CompiledNetlist::trace`], then
 //!   one [`CompiledNetlist::run_cone`] per mask re-executes only the
-//!   masked gates' fanout.
+//!   masked gates' fanout, one instruction over all its words at a
+//!   time, and returns the outputs plus a [`ConeToggles`] view of
+//!   every net's toggles.
 //!
-//! All paths are bit-for-bit equivalent (outputs, ones, toggles) —
-//! pinned against the scalar `eval_ports` reference by the differential
-//! property suite in `tests/proptest_engine.rs`. Malformed stimuli
-//! surface as [`SimError`].
+//! All paths are bit-for-bit equivalent (outputs, ones, toggles; the
+//! cone pass returns outputs and toggles only) — pinned against the
+//! scalar `eval_ports` reference by the differential property suite in
+//! `tests/proptest_engine.rs`. Malformed stimuli surface as
+//! [`SimError`].
 //!
 //! # Examples
 //!
@@ -78,7 +81,7 @@ pub mod vcd;
 mod word;
 
 pub use activity::Activity;
-pub use compiled::{BaseTrace, CompiledNetlist, ConeScratch, PackedStimulus};
+pub use compiled::{BaseTrace, CompiledNetlist, ConeScratch, ConeToggles, PackedStimulus};
 pub use engine::{try_simulate, SimOutputs, SimResult};
 pub use error::SimError;
 pub use stimulus::Stimulus;

@@ -91,6 +91,89 @@ fn random_stimulus(nl: &Netlist, seed: u64, n_samples: usize) -> Stimulus {
     stim
 }
 
+/// Checks one cone-pass case against the unfused masked oracle
+/// (`run_masked_with_activity`): a random netlist, `n_samples` random
+/// samples and up to `n_mask` random id-sorted masks. The pass must give
+/// every output port, and every net's toggles through its view, exactly
+/// — with `affected` as the masked nets' fanout cone, and with every
+/// slot affected. One scratch serves both runs. The pass counts no
+/// `ones`, so none are compared; the τ analysis pins them on its full
+/// tracked run.
+fn check_cone_pass(seed: u64, n_gates: usize, n_samples: usize, n_mask: usize) {
+    let nl = random_netlist(seed, n_gates);
+    let stim = random_stimulus(&nl, seed ^ 0xFACE, n_samples);
+    let compiled = CompiledNetlist::compile(&nl);
+    // Maskable nets: gate-driven, not constant ties.
+    let candidates: Vec<NetId> = nl
+        .iter()
+        .filter_map(|(id, node)| match node {
+            Node::Gate(g) if !g.kind.is_free() => Some(id),
+            _ => None,
+        })
+        .collect();
+    let mut state = seed ^ 0xC0DE;
+    let mut mask: Vec<(NetId, bool)> = Vec::new();
+    for _ in 0..n_mask {
+        if candidates.is_empty() {
+            break;
+        }
+        let net = candidates[(next(&mut state) % candidates.len() as u64) as usize];
+        if mask.iter().all(|&(n, _)| n != net) {
+            mask.push((net, next(&mut state) & 1 == 1));
+        }
+    }
+    mask.sort_unstable_by_key(|&(n, _)| n);
+    // The masked nets' transitive fanout (ids are topological).
+    let mut cone = vec![false; nl.len()];
+    for &(net, _) in &mask {
+        cone[net.index()] = true;
+    }
+    for (id, node) in nl.iter() {
+        if let Node::Gate(g) = node {
+            if g.inputs().iter().any(|i| cone[i.index()]) {
+                cone[id.index()] = true;
+            }
+        }
+    }
+    let packed = compiled.pack(&stim).expect("valid stimulus");
+    let trace = compiled.trace(&packed);
+    let oracle = compiled.run_masked_with_activity(&packed, &mask);
+    let mut scratch = ConeScratch::default();
+    for affected in [cone, vec![true; nl.len()]] {
+        let (outputs, toggles) = compiled.run_cone(&trace, &mask, &affected, &mut scratch);
+        for p in nl.output_ports() {
+            assert_eq!(
+                outputs.port_values(&p.name),
+                oracle.port_values(&p.name),
+                "cone pass diverges from oracle on {} ({n_samples} samples, mask {mask:?})",
+                p.name
+            );
+        }
+        for i in 0..nl.len() {
+            let net = NetId::from_index(i);
+            assert_eq!(
+                toggles.toggles(net),
+                oracle.activity.toggles(net),
+                "toggles net {i} ({n_samples} samples, mask {mask:?})"
+            );
+        }
+    }
+}
+
+/// The cone pass at the word counts the catalog's circuits run —
+/// cardio 10 words, whitewine 23, pendigits 52 — plus an exact
+/// multiple of the word and one sample past it: a few random netlists ×
+/// masks per size, each also run with every slot affected.
+#[test]
+fn cone_pass_matches_masked_oracle_at_catalog_word_counts() {
+    for n_samples in [640usize, 1024, 1025, 3300] {
+        for case in 0..4u64 {
+            let seed = next(&mut (n_samples as u64 * 31 + case));
+            check_cone_pass(seed, 30 + 20 * case as usize, n_samples, 1 + 2 * case as usize);
+        }
+    }
+}
+
 /// Scalar reference: evaluates every net of the netlist on one sample,
 /// mirroring `eval_ports`' walk but exposing all nets — the ground
 /// truth the activity counters are differenced against.
@@ -281,11 +364,9 @@ proptest! {
         }
     }
 
-    /// The cone pass equals the masked oracle on random
-    /// netlists × random id-sorted masks: every output port and every
-    /// net's ones and toggles — with `affected` as the masked nets'
-    /// fanout cone, and with every slot affected (any superset of the
-    /// cone gives the same result). One scratch serves both runs.
+    /// The cone pass equals the masked oracle on random netlists ×
+    /// random id-sorted masks at 1–300 samples (see `check_cone_pass`;
+    /// any superset of the cone gives the same result).
     #[test]
     fn cone_pass_matches_unfused_masked_oracle(
         seed in any::<u64>(),
@@ -293,61 +374,7 @@ proptest! {
         n_samples in 1usize..=300,
         n_mask in 0usize..8,
     ) {
-        let nl = random_netlist(seed, n_gates);
-        let stim = random_stimulus(&nl, seed ^ 0xFACE, n_samples);
-        let compiled = CompiledNetlist::compile(&nl);
-        // Maskable nets: gate-driven, not constant ties.
-        let candidates: Vec<NetId> = nl
-            .iter()
-            .filter_map(|(id, node)| match node {
-                Node::Gate(g) if !g.kind.is_free() => Some(id),
-                _ => None,
-            })
-            .collect();
-        let mut state = seed ^ 0xC0DE;
-        let mut mask: Vec<(NetId, bool)> = Vec::new();
-        for _ in 0..n_mask {
-            if candidates.is_empty() {
-                break;
-            }
-            let net = candidates[(next(&mut state) % candidates.len() as u64) as usize];
-            if mask.iter().all(|&(n, _)| n != net) {
-                mask.push((net, next(&mut state) & 1 == 1));
-            }
-        }
-        mask.sort_unstable_by_key(|&(n, _)| n);
-        // The masked nets' transitive fanout (ids are topological).
-        let mut cone = vec![false; nl.len()];
-        for &(net, _) in &mask {
-            cone[net.index()] = true;
-        }
-        for (id, node) in nl.iter() {
-            if let Node::Gate(g) = node {
-                if g.inputs().iter().any(|i| cone[i.index()]) {
-                    cone[id.index()] = true;
-                }
-            }
-        }
-        let packed = compiled.pack(&stim).expect("valid stimulus");
-        let trace = compiled.trace(&packed);
-        let oracle = compiled.run_masked_with_activity(&packed, &mask);
-        let mut scratch = ConeScratch::default();
-        for affected in [cone, vec![true; nl.len()]] {
-            let got = compiled.run_cone(&trace, &mask, &affected, &mut scratch);
-            for p in nl.output_ports() {
-                prop_assert_eq!(
-                    got.port_values(&p.name), oracle.port_values(&p.name),
-                    "cone pass diverges from oracle on {} (mask {:?})", p.name, mask
-                );
-            }
-            for i in 0..nl.len() {
-                let net = NetId::from_index(i);
-                prop_assert_eq!(got.activity.ones(net), oracle.activity.ones(net), "ones net {}", i);
-                prop_assert_eq!(
-                    got.activity.toggles(net), oracle.activity.toggles(net), "toggles net {}", i
-                );
-            }
-        }
+        check_cone_pass(seed, n_gates, n_samples, n_mask);
     }
 
     /// Toggle counts are insensitive to how samples split across words:
