@@ -10,14 +10,14 @@
 //! activity disabled ≥ 3× interpreted. The measured numbers are
 //! recorded in `BENCH_compiled_eval.json`.
 
+use std::hint::black_box;
 use std::time::Instant;
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pax_bespoke::{stimulus_for_rows, BespokeCircuit};
 use pax_ml::model::LinearClassifier;
 use pax_ml::quant::{QuantSpec, QuantizedModel};
 use pax_netlist::{eval, Netlist};
-use pax_serve::{Backend, EngineConfig, NetlistBackend, QuantBackend, ServeEngine};
+use pax_serve::{Backend, NetlistBackend, QuantBackend};
 use pax_sim::{try_simulate, CompiledNetlist};
 use pax_synth::opt;
 
@@ -78,7 +78,7 @@ fn time_it(mut f: impl FnMut(), reps: usize) -> f64 {
     start.elapsed().as_secs_f64() / reps as f64
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let (model, netlist, rows) = workload();
     let nb = NetlistBackend::new(netlist.clone(), model.clone());
     let qb = QuantBackend::new(model.clone());
@@ -232,88 +232,4 @@ fn bench(c: &mut Criterion) {
         interp_s / compiled_s
     );
     println!("# 256-lane vs 64-lane pre-packed execution: {:.1}x", packed_narrow_s / packed_wide_s);
-    // --- Criterion-tracked benchmarks --------------------------------
-    for &batch in &BATCH_SIZES {
-        let chunks: Vec<Vec<Vec<i64>>> = rows.chunks(batch).map(<[_]>::to_vec).collect();
-        let nb = nb.clone();
-        c.bench_function(&format!("serve/netlist/batch_{batch}"), move |b| {
-            b.iter(|| {
-                for chunk in &chunks {
-                    black_box(nb.try_classify(chunk).unwrap());
-                }
-            })
-        });
-        let chunks: Vec<Vec<Vec<i64>>> = rows.chunks(batch).map(<[_]>::to_vec).collect();
-        let qb = qb.clone();
-        c.bench_function(&format!("serve/quant/batch_{batch}"), move |b| {
-            b.iter(|| {
-                for chunk in &chunks {
-                    black_box(qb.try_classify(chunk).unwrap());
-                }
-            })
-        });
-    }
-    {
-        let netlist = netlist.clone();
-        let rows = rows.clone();
-        c.bench_function("serve/eval_ports_per_sample", move |b| {
-            b.iter(|| black_box(eval_ports_loop(&netlist, &rows)))
-        });
-    }
-    {
-        let netlist = netlist.clone();
-        let stim = study_stim.clone();
-        c.bench_function("sim/interpreted_study", move |b| {
-            b.iter(|| black_box(try_simulate(&netlist, &stim).expect("valid stimulus")))
-        });
-    }
-    {
-        let compiled = compiled.clone();
-        let stim = study_stim.clone();
-        c.bench_function("sim/compiled_activity_study", move |b| {
-            b.iter(|| black_box(compiled.run_with_activity(&stim).unwrap()))
-        });
-    }
-    {
-        let compiled = compiled.clone();
-        let stim = study_stim.clone();
-        c.bench_function("sim/compiled_study", move |b| {
-            b.iter(|| black_box(compiled.run(&stim).unwrap()))
-        });
-    }
-
-    // End-to-end engine throughput: submit/ticket overhead, batcher,
-    // worker pool and the default 5% audit included.
-    {
-        let engine = ServeEngine::new(EngineConfig::default());
-        let point = pax_core::DesignPoint {
-            technique: pax_core::Technique::Exact,
-            tau_c: None,
-            phi_c: None,
-            coeff: None,
-            accuracy: 1.0,
-            area_mm2: 0.0,
-            power_mw: 0.0,
-            gate_count: netlist.gate_count(),
-            critical_ms: 0.0,
-        };
-        engine
-            .register(pax_core::artifact::Artifact {
-                model: model.clone(),
-                netlist: netlist.clone(),
-                point,
-            })
-            .unwrap();
-        let rows = rows.clone();
-        c.bench_function("serve/engine_end_to_end_256", move |b| {
-            b.iter(|| black_box(engine.classify("serve-bench", &rows).unwrap()))
-        });
-    }
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench
-}
-criterion_main!(benches);

@@ -8,6 +8,7 @@
 //! paper fig2                   # Fig. 2   (coefficient-approx reductions)
 //! paper fig3                   # Fig. 3   (Pareto spaces)
 //! paper proxy                  # §III-B   (area-proxy correlation)
+//! paper ablations              # CSD recoding, re-synthesis, balance search
 //! paper explore                # grid vs NSGA-II search (BENCH_explore.json)
 //! paper prune_eval             # A/B: rebuild vs overlay evaluation (BENCH_prune_eval.json)
 //! paper coeff_eval             # A/B: stacked coeff+prune, rebuild vs overlay (BENCH_coeff_eval.json)
@@ -27,7 +28,9 @@ use std::time::Instant;
 
 use pax_bench::catalog::DatasetId;
 use pax_bench::eval_ab::{self, Study};
-use pax_bench::{explore, fig1, fig2, fig3, proxy, quantsweep, studies, table1, table2, table3};
+use pax_bench::{
+    ablations, explore, fig1, fig2, fig3, proxy, quantsweep, studies, table1, table2, table3,
+};
 use pax_core::mult_cache::MultCache;
 use pax_ml::quant::ModelKind;
 use pax_ml::synth_data::SynthConfig;
@@ -41,7 +44,7 @@ struct Options {
 fn main() {
     let mut args = std::env::args().skip(1);
     let Some(command) = args.next() else {
-        eprintln!("usage: paper <table1|table2|table3|fig1|fig2|fig3|proxy|quant|explore|prune_eval|coeff_eval|fabric_eval|obs|all> [--out DIR] [--quick] [--circuit STR]");
+        eprintln!("usage: paper <table1|table2|table3|fig1|fig2|fig3|proxy|ablations|quant|explore|prune_eval|coeff_eval|fabric_eval|obs|all> [--out DIR] [--quick] [--circuit STR]");
         std::process::exit(2);
     };
     let mut opts = Options { out: None, quick: false, circuit: None };
@@ -71,6 +74,7 @@ fn main() {
         "fig2" => run_fig2(&opts),
         "fig3" => run_fig3(&opts),
         "proxy" => run_proxy(&opts),
+        "ablations" => run_ablations(&opts),
         "quant" => run_quant(&opts),
         "explore" => run_explore(&opts),
         "obs" => run_obs(&opts),
@@ -78,6 +82,7 @@ fn main() {
             run_fig1(&opts);
             run_fig2(&opts);
             run_proxy(&opts);
+            run_ablations(&opts);
             run_quant(&opts);
             run_explore(&opts);
             for study in Study::ALL {
@@ -199,6 +204,12 @@ fn run_proxy(opts: &Options) {
         csv.push_str(&format!("{p:.3},{a:.3}\n"));
     }
     write_artifact(opts, "proxy.csv", &csv);
+}
+
+fn run_ablations(opts: &Options) {
+    let text = ablations::run(&synth_config(opts));
+    println!("{text}");
+    write_artifact(opts, "ablations.md", &text);
 }
 
 fn run_explore(opts: &Options) {

@@ -12,6 +12,9 @@
 //! * [`proxy`] — the §III-B area-proxy validation (Pearson correlation
 //!   between `Σ AREA(BM)` and synthesized weighted-sum area over 1000
 //!   random weighted sums);
+//! * [`ablations`] — three ablations of the flow's design choices: CSD
+//!   vs. binary multiplier recoding, re-synthesis after pruning, and
+//!   exhaustive vs. greedy error balancing;
 //! * [`studies`] — shared runner executing the cross-layer framework on
 //!   every hardware-feasible model;
 //! * [`explore`] — exhaustive-grid versus evolutionary search at
@@ -31,12 +34,14 @@
 //! ```text
 //! cargo run -p pax-bench --release --bin paper -- table1
 //! cargo run -p pax-bench --release --bin paper -- fabric_eval --quick
+//! cargo run -p pax-bench --release --bin paper -- ablations --quick
 //! cargo run -p pax-bench --release --bin paper -- all --out results/
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod ablations;
 pub mod catalog;
 pub mod eval_ab;
 pub mod explore;

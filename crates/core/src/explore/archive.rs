@@ -19,23 +19,6 @@
 //! N-D sets use the exact WFG recursive-slicing algorithm. Reference
 //! points are given in *raw axis units* in enabled-axis order — see the
 //! README's reference-point guidance.
-//!
-//! Hypervolume is maintained **incrementally**: the archive caches the
-//! per-point contribution terms of the last query (keyed by the
-//! reference point's bit pattern) and, on the next query, recomputes
-//! only the terms the front's change touched — in 2-D a term couples a
-//! point to its sweep predecessor, so an insert dirties at most the
-//! spliced range plus one neighbour; in N-D a WFG exclusive
-//! contribution depends on the point and everything sorted after it,
-//! so the unchanged common suffix carries over. The final value is
-//! always a forward re-sum over *all* terms (float addition is not
-//! associative), which makes the cached result bit-for-bit equal to
-//! [`ParetoArchive::batch_hypervolume`] — the cache-bypassing oracle
-//! the incremental-vs-batch property suite compares against. Querying
-//! with a different reference point recomputes from scratch and
-//! re-keys the cache.
-
-use std::sync::Mutex;
 
 use super::objective::ObjectiveSet;
 use crate::DesignPoint;
@@ -84,45 +67,11 @@ impl std::error::Error for HypervolumeError {}
 /// Two-axis fronts are kept sorted by the second axis ascending (for
 /// the default set: ascending area, and therefore ascending accuracy);
 /// higher-dimensional fronts keep insertion order.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ParetoArchive {
     objectives: ObjectiveSet,
     points: Vec<DesignPoint>,
     inserted: usize,
-    /// The last hypervolume query's per-point terms, reused by the next
-    /// query against the same reference point (interior mutability:
-    /// queries take `&self`). Inserts need not invalidate it — each
-    /// query diffs the front's current keys against the snapshot.
-    hv_cache: Mutex<Option<HvCache>>,
-}
-
-/// One hypervolume query's decomposition: the canonical reference
-/// point it was measured against (bit pattern — the cache key), the
-/// filtered (and, in N-D, sorted) canonical key vectors the terms
-/// align to, and the per-point contribution terms themselves.
-#[derive(Debug, Clone)]
-struct HvCache {
-    ref_bits: Vec<u64>,
-    keys: Vec<Vec<f64>>,
-    terms: Vec<f64>,
-}
-
-impl Clone for ParetoArchive {
-    fn clone(&self) -> Self {
-        Self {
-            objectives: self.objectives.clone(),
-            points: self.points.clone(),
-            inserted: self.inserted,
-            hv_cache: Mutex::new(lock(&self.hv_cache).clone()),
-        }
-    }
-}
-
-/// Locks a cache slot, shrugging off poisoning (the cache is a pure
-/// function of the front and the reference point, so a panicked writer
-/// cannot leave it torn in any way a re-query would not fix).
-fn lock(cache: &Mutex<Option<HvCache>>) -> std::sync::MutexGuard<'_, Option<HvCache>> {
-    cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 impl Default for ParetoArchive {
@@ -139,7 +88,7 @@ impl ParetoArchive {
 
     /// An empty archive over an explicit objective space.
     pub fn with_objectives(objectives: ObjectiveSet) -> Self {
-        Self { objectives, points: Vec::new(), inserted: 0, hv_cache: Mutex::new(None) }
+        Self { objectives, points: Vec::new(), inserted: 0 }
     }
 
     /// The objective space this archive ranks by.
@@ -278,26 +227,7 @@ impl ParetoArchive {
             self.objectives.dim(),
             "reference point must have one component per enabled axis"
         );
-        self.hv_impl(ref_point, true, true).expect("clamping mode never fails")
-    }
-
-    /// [`ParetoArchive::hypervolume`] with the incremental term cache
-    /// bypassed: every contribution recomputed from scratch. This is
-    /// the differential oracle the incremental path is pinned against
-    /// (the two are bit-identical by construction — the cached path
-    /// re-sums all terms in the same forward order).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `ref_point` does not have one component per enabled
-    /// axis.
-    pub fn batch_hypervolume(&self, ref_point: &[f64]) -> f64 {
-        assert_eq!(
-            ref_point.len(),
-            self.objectives.dim(),
-            "reference point must have one component per enabled axis"
-        );
-        self.hv_impl(ref_point, true, false).expect("clamping mode never fails")
+        self.hv_impl(ref_point, true).expect("clamping mode never fails")
     }
 
     /// [`ParetoArchive::hypervolume`] that surfaces a malformed query as
@@ -311,15 +241,10 @@ impl ParetoArchive {
                 got: ref_point.len(),
             });
         }
-        self.hv_impl(ref_point, false, true)
+        self.hv_impl(ref_point, false)
     }
 
-    fn hv_impl(
-        &self,
-        ref_point: &[f64],
-        clamp: bool,
-        use_cache: bool,
-    ) -> Result<f64, HypervolumeError> {
+    fn hv_impl(&self, ref_point: &[f64], clamp: bool) -> Result<f64, HypervolumeError> {
         let rk = self.objectives.canonical_ref(ref_point);
         let labels = self.objectives.labels();
         // Keep only points strictly inside the reference box. A point
@@ -336,104 +261,25 @@ impl ParetoArchive {
             }
             keys.push(k);
         }
-        if self.objectives.dim() != 2 {
-            // Sort lexicographically first so the WFG sum depends only
-            // on the front set, not the insertion order.
-            keys.sort_by(|a, b| a.partial_cmp(b).expect("finite objective values"));
+        if self.objectives.dim() == 2 {
+            return Ok(sweep_2d(&keys, &rk));
         }
-        let ref_bits: Vec<u64> = rk.iter().map(|r| r.to_bits()).collect();
-        let old = if use_cache {
-            // A different reference point re-keys the cache: its terms
-            // measure different boxes, so none carry over.
-            lock(&self.hv_cache).take().filter(|c| c.ref_bits == ref_bits)
-        } else {
-            None
-        };
-        let terms = if self.objectives.dim() == 2 {
-            terms_2d(&keys, &rk, old.as_ref())
-        } else {
-            terms_nd(&keys, &rk, old.as_ref())
-        };
-        // Always a full forward re-sum: float addition is not
-        // associative, so summing a delta into a running value would
-        // drift from the batch recompute. Term by term this is exactly
-        // the batch sweep's (and batch WFG's) addition sequence, which
-        // is what keeps incremental and batch bit-identical.
-        let mut hv = 0.0;
-        for t in &terms {
-            hv += t;
-        }
-        if use_cache {
-            *lock(&self.hv_cache) = Some(HvCache { ref_bits, keys, terms });
-        }
-        Ok(hv)
+        // Sort lexicographically first so the WFG sum depends only on
+        // the front set, not the insertion order.
+        keys.sort_by(|a, b| a.partial_cmp(b).expect("finite objective values"));
+        Ok(wfg(&keys, &rk))
     }
 }
 
-/// Bitwise key-vector equality — the strictest reuse test, so a cached
-/// term is only ever copied when a fresh computation would have had
-/// bit-equal inputs.
-fn eq_key(a: &[f64], b: &[f64]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-}
-
-/// Lengths of the longest common prefix and (non-overlapping) suffix
-/// of two key lists, by bitwise equality.
-fn common_affix(old: &[Vec<f64>], new: &[Vec<f64>]) -> (usize, usize) {
-    let limit = old.len().min(new.len());
-    let mut p = 0;
-    while p < limit && eq_key(&old[p], &new[p]) {
-        p += 1;
+/// The 2-D sorted sweep: one forward sum of the per-point terms
+/// `(rk₁ − k₁ᵢ) · (k₀ᵢ₋₁ − k₀ᵢ)`, with `k₀₋₁ = rk₀`.
+fn sweep_2d(keys: &[Vec<f64>], rk: &[f64]) -> f64 {
+    let mut hv = 0.0;
+    for (i, k) in keys.iter().enumerate() {
+        let prev_k0 = if i == 0 { rk[0] } else { keys[i - 1][0] };
+        hv += (rk[1] - k[1]) * (prev_k0 - k[0]);
     }
-    let mut s = 0;
-    while s < limit - p && eq_key(&old[old.len() - 1 - s], &new[new.len() - 1 - s]) {
-        s += 1;
-    }
-    (p, s)
-}
-
-/// Per-point terms of the 2-D sorted sweep:
-/// `(rk₁ − k₁ᵢ) · (k₀ᵢ₋₁ − k₀ᵢ)` with `k₀₋₁ = rk₀`. A term couples a
-/// point to its predecessor, so common-prefix terms and
-/// strictly-interior common-suffix terms carry over from the cache;
-/// the spliced range (plus the suffix's first term, whose predecessor
-/// may have changed) recomputes.
-fn terms_2d(keys: &[Vec<f64>], rk: &[f64], old: Option<&HvCache>) -> Vec<f64> {
-    let (p, s) = old.map_or((0, 0), |o| common_affix(&o.keys, keys));
-    let n = keys.len();
-    (0..n)
-        .map(|i| {
-            if i < p {
-                return old.expect("a non-empty affix implies a cache").terms[i];
-            }
-            if s > 0 && i > n - s {
-                let o = old.expect("a non-empty affix implies a cache");
-                return o.terms[i + o.keys.len() - n];
-            }
-            let prev_k0 = if i == 0 { rk[0] } else { keys[i - 1][0] };
-            (rk[1] - keys[i][1]) * (prev_k0 - keys[i][0])
-        })
-        .collect()
-}
-
-/// Per-point terms of the N-D WFG sum: point `i`'s exclusive
-/// contribution, its inclusive box minus the hypervolume of the later
-/// points limited into it. A term depends on the point and everything
-/// sorted after it, so only common-suffix terms carry over; everything
-/// before the change recomputes against the new suffix.
-fn terms_nd(keys: &[Vec<f64>], rk: &[f64], old: Option<&HvCache>) -> Vec<f64> {
-    let s = old.map_or(0, |o| common_affix(&o.keys, keys).1);
-    let n = keys.len();
-    (0..n)
-        .map(|i| {
-            if s > 0 && i >= n - s {
-                let o = old.expect("a non-empty affix implies a cache");
-                return o.terms[i + o.keys.len() - n];
-            }
-            let inclusive: f64 = keys[i].iter().zip(rk).map(|(k, r)| r - k).product();
-            inclusive - wfg(&limit_set(&keys[i + 1..], &keys[i]), rk)
-        })
-        .collect()
+    hv
 }
 
 /// Exact hypervolume of mutually comparable points in minimization
@@ -615,52 +461,6 @@ mod tests {
     #[should_panic(expected = "one component per enabled axis")]
     fn clamping_hypervolume_still_rejects_bad_dimensions() {
         ParetoArchive::new().hypervolume(&[0.0]);
-    }
-
-    #[test]
-    fn incremental_hypervolume_tracks_inserts_bit_for_bit() {
-        // Interleave inserts and same-reference queries — the
-        // search-loop pattern the term cache serves — and pin every
-        // cached answer against the cache-bypassing batch oracle, in
-        // 2-D (sweep terms) and 4-D (WFG terms).
-        let mut state = 0xA076_1D64_78BD_642Fu64;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (state >> 33) % 40
-        };
-        let mut two = ParetoArchive::new();
-        let mut four = ParetoArchive::with_objectives(ObjectiveSet::all());
-        let (r2, r4) = ([0.0, 40.0], [0.0, 40.0, 40.0, 40.0]);
-        for _ in 0..60 {
-            let (acc, area) = (next() as f64, next() as f64);
-            let (power, delay) = (next() as f64, next() as f64);
-            two.insert(p(acc, area));
-            four.insert(p4(acc, area, power, delay));
-            assert_eq!(two.hypervolume(&r2), two.batch_hypervolume(&r2), "2-D sweep");
-            assert_eq!(four.hypervolume(&r4), four.batch_hypervolume(&r4), "N-D WFG");
-        }
-        // A clone carries the cache and stays consistent on its own.
-        let cloned = four.clone();
-        assert_eq!(cloned.hypervolume(&r4), four.batch_hypervolume(&r4));
-    }
-
-    #[test]
-    fn changing_the_reference_point_recomputes_instead_of_reusing_the_cache() {
-        let mut arch = ParetoArchive::new();
-        arch.extend([p(0.9, 50.0), p(0.5, 10.0)]);
-        // Prime the cache with one reference point…
-        let warm = [0.0, 100.0];
-        assert_eq!(arch.hypervolume(&warm), arch.batch_hypervolume(&warm));
-        // …then query a different one: a stale cache reused here would
-        // return the old reference's terms. Every entry point must
-        // recompute — including the clamping variant, whose filtered
-        // front differs under the tighter box.
-        let tight = [0.0, 40.0];
-        assert_eq!(arch.hypervolume(&tight), (40.0 - 10.0) * 0.5);
-        assert_eq!(arch.try_hypervolume(&[0.0, 100.0]), Ok(arch.batch_hypervolume(&warm)));
-        // And flip-flopping between the two stays exact.
-        assert_eq!(arch.hypervolume(&warm), arch.batch_hypervolume(&warm));
-        assert_eq!(arch.hypervolume(&tight), arch.batch_hypervolume(&tight));
     }
 
     #[test]

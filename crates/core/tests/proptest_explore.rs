@@ -214,45 +214,6 @@ proptest! {
         prop_assert_eq!(archive.try_hypervolume(&r), Ok(hv));
     }
 
-    /// The cached incremental hypervolume equals the cache-bypassing
-    /// batch recompute bit-for-bit after every insert — on *irregular*
-    /// float coordinates (divisions by 7 and 13), where per-term reuse
-    /// would drift if the final value were assembled by anything other
-    /// than the same forward re-sum the batch path performs. Queries
-    /// interleave two reference points so the cache is repeatedly
-    /// invalidated and rebuilt mid-stream.
-    #[test]
-    fn incremental_hypervolume_equals_batch_recompute(
-        dim in 2usize..=4,
-        raw in proptest::collection::vec((0u32..60, 0u32..60, 0u32..60, 0u32..60), 1..32)
-    ) {
-        let objectives = objective_set(dim);
-        let r = reference(dim);
-        let far: Vec<f64> = r.iter().map(|x| x * 3.0).collect();
-        let mut archive = ParetoArchive::with_objectives(objectives);
-        for (i, &(a, w, p, d)) in raw.iter().enumerate() {
-            archive.insert(point4((
-                f64::from(a) / 7.0,
-                f64::from(w) / 13.0 + 1.0,
-                f64::from(p) / 7.0 + 1.0,
-                f64::from(d) / 13.0 + 1.0,
-            )));
-            let q = if i % 3 == 2 { &far } else { &r };
-            prop_assert_eq!(
-                archive.hypervolume(q).to_bits(),
-                archive.batch_hypervolume(q).to_bits(),
-                "cached hypervolume diverged from batch recompute after insert {}",
-                i
-            );
-        }
-        // A final cold query on each reference point still agrees.
-        prop_assert_eq!(archive.hypervolume(&r).to_bits(), archive.batch_hypervolume(&r).to_bits());
-        prop_assert_eq!(
-            archive.hypervolume(&far).to_bits(),
-            archive.batch_hypervolume(&far).to_bits()
-        );
-    }
-
     /// The final front (as a key multiset) and its hypervolume are
     /// invariant to insertion order — bitwise, because the N-D
     /// hypervolume sorts the front before slicing.

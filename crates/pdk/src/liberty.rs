@@ -143,9 +143,18 @@ fn parse_cell(line_no: usize, rest: &str) -> Result<Cell, PdkError> {
                 return Err(parse_err(line_no, &format!("unknown cell field `{other}`")));
             }
         };
-        values[slot] = Some(val.parse::<f64>().map_err(|_| {
+        let value = val.parse::<f64>().map_err(|_| {
             parse_err(line_no, &format!("invalid {key} value `{val}` for cell {mnemonic}"))
-        })?);
+        })?;
+        // `Cell::new` asserts what `Cell::is_physical` checks; an
+        // out-of-range figure in the text is malformed input, not a bug.
+        if !(value.is_finite() && value >= 0.0) {
+            return Err(parse_err(
+                line_no,
+                &format!("{key} value `{val}` for cell {mnemonic} is negative or non-finite"),
+            ));
+        }
+        values[slot] = Some(value);
     }
 
     let get = |slot: usize, name: &str| {
@@ -213,6 +222,33 @@ mod tests {
         match parse(text).unwrap_err() {
             PdkError::Parse { line, .. } => assert_eq!(line, 3),
             other => panic!("unexpected error {other:?}"),
+        }
+    }
+
+    #[test]
+    fn unphysical_figures_are_parse_errors() {
+        let fields = ["area 0.1", "delay 0.2", "static 3.0", "energy 0.5"];
+        for (i, field) in fields.iter().enumerate() {
+            let key = field.split_once(' ').expect("key and value").0;
+            for bad in ["-5", "nan", "inf", "1e400"] {
+                let mut body = fields;
+                let swapped = format!("{key} {bad}");
+                body[i] = &swapped;
+                let text = format!(
+                    "library X {{\n voltage 1.0;\n cell INV {{ fanin 1; {}; }}\n \
+                     cell BUF {{ fanin 1; {}; }}\n}}\n",
+                    fields.join("; "),
+                    body.join("; ")
+                );
+                match parse(&text).unwrap_err() {
+                    PdkError::Parse { line, message } => {
+                        assert_eq!(line, 4, "{key} {bad}");
+                        assert!(message.contains(key), "{message}");
+                        assert!(message.contains("BUF"), "{message}");
+                    }
+                    other => panic!("unexpected error {other:?}"),
+                }
+            }
         }
     }
 

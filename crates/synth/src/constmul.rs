@@ -46,7 +46,8 @@ pub fn bespoke_mul(b: &mut NetlistBuilder, x: &Bus, w: i64, out_width: usize) ->
 }
 
 /// Like [`bespoke_mul`] but with plain binary (non-CSD) recoding; exists
-/// for the ablation study quantifying what CSD recoding saves.
+/// for the ablation (`paper ablations`) quantifying what CSD recoding
+/// saves.
 pub fn bespoke_mul_binary(b: &mut NetlistBuilder, x: &Bus, w: i64, out_width: usize) -> Bus {
     bespoke_mul_digits(b, x, w, out_width, &to_binary_digits(w))
 }

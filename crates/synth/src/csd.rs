@@ -66,7 +66,7 @@ pub fn csd_cost(w: i64) -> usize {
 
 /// Plain binary signed expansion (one `+1` digit per set magnitude bit,
 /// negative numbers as the negated positive expansion). Used by the CSD
-/// ablation benchmark to show how much the recoding saves.
+/// ablation (`paper ablations`) to show how much the recoding saves.
 pub fn to_binary_digits(w: i64) -> Vec<CsdDigit> {
     let sign: i8 = if w < 0 { -1 } else { 1 };
     let mag = (w as i128).unsigned_abs();
